@@ -3,74 +3,72 @@
 //
 // The parent runs the in-process reference first (fl::AsyncSimulation on
 // the virtual clock), then binds an EpollServerTransport on an ephemeral
-// port, forks one child per populated client (each a TcpClientTransport +
-// ClientRuntime), and drives the ServerRuntime to completion. The two
-// trajectory fingerprints — per-round losses/accuracies/byte counts plus
-// a CRC32C of the final parameters — must match exactly: real sockets,
-// fork scheduling, and arrival order change nothing the engine's
-// determinism contract covers.
+// port, starts one tools/transport_client process per populated client
+// (fork + exec, so every client is a fresh process), and drives the
+// ServerRuntime to completion. The two trajectory fingerprints — per-round
+// losses/accuracies/byte counts plus a CRC32C of the final parameters —
+// must match exactly: real sockets, process scheduling, and arrival order
+// change nothing the engine's determinism contract covers.
+//
+//   tcp_round [path/to/transport_client]
+//
+// The client binary defaults to ../tools/transport_client next to this
+// executable's directory (the build tree layout); ctest passes it
+// explicitly.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "../tools/transport_demo.hpp"
 #include "smoke.hpp"
-#include "transport/client_runtime.hpp"
 #include "transport/epoll.hpp"
 #include "transport/server_runtime.hpp"
 
-namespace {
-
-int run_client(std::uint16_t port, std::size_t client,
-               const std::string& method, const fedbiad::tools::DemoWorkload& w) {
+int main(int argc, char** argv) {
   using namespace fedbiad;
-  transport::TransportClientConfig cfg;
-  cfg.client_id = client;
-  cfg.base = w.sim;
-  cfg.payload_kind = w.payload_kind;
-  cfg.reconnect_timeout_seconds = 30.0;
-  transport::TcpClientTransport transport("127.0.0.1", port);
-  transport::ClientRuntime runtime(cfg, transport, w.factory, w.train,
-                                   w.partition[client],
-                                   tools::make_demo_strategy(method));
-  return runtime.run() ? 0 : 1;
-}
-
-}  // namespace
-
-int main() {
-  using namespace fedbiad;
+  const std::string client_bin =
+      argc > 1 ? argv[1]
+               : (std::filesystem::path(argv[0]).parent_path() / ".." /
+                  "tools" / "transport_client")
+                     .string();
   const std::string method = "fedbiad";
   const tools::DemoWorkload w =
       tools::make_demo_workload(method, examples::smoke());
 
-  // In-process reference on the virtual clock. Runs (and joins its worker
-  // thread) before any fork below.
+  // In-process reference on the virtual clock.
   const fl::SimulationResult reference = tools::reference_run(w, method);
   const std::string want = tools::trajectory_text(reference);
   std::printf("— in-process reference —\n%s", want.c_str());
 
-  // The same job over TCP: parent serves, one forked child per client.
+  // The same job over TCP: the parent serves, one client process each.
   transport::TransportServerConfig scfg;
   scfg.base = w.sim;
   scfg.scenario_name = "tcp_round";
   // Decode-on-arrival workers: uploads are CRC-verified and decoded off
   // the epoll thread, yet the trajectory diff below still demands byte
-  // identity with the single-threaded in-process engine. (The pool's
-  // threads start inside server.run(), after every fork above.)
+  // identity with the single-threaded in-process engine.
   scfg.decode_workers = 4;
   transport::EpollServerTransport transport({}, /*port=*/0);
-  const std::uint16_t port = transport.port();
+  const std::string port = std::to_string(transport.port());
 
   std::vector<pid_t> children;
   for (std::size_t c = 0; c < w.partition.size(); ++c) {
     if (w.partition[c].empty()) continue;
+    // Built before fork: the parent already runs threads, so the child
+    // does nothing but exec.
+    const std::string id = std::to_string(c);
+    std::vector<const char*> args = {client_bin.c_str(), "--port", port.c_str(),
+                                     "--client", id.c_str(), "--method",
+                                     method.c_str(), "--reconnect-timeout",
+                                     "30", nullptr};
     const pid_t pid = ::fork();
     if (pid == 0) {
-      ::_exit(run_client(port, c, method, w));
+      ::execv(args[0], const_cast<char* const*>(args.data()));
+      ::_exit(127);
     }
     FEDBIAD_CHECK(pid > 0, "fork failed");
     children.push_back(pid);
@@ -81,8 +79,8 @@ int main() {
                                   tools::make_demo_strategy(method));
   const transport::TransportServerResult result = server.run();
   const std::string got = tools::trajectory_text(result.sim);
-  std::printf("— over TCP (port %u, %zu client processes) —\n%s",
-              static_cast<unsigned>(port), children.size(), got.c_str());
+  std::printf("— over TCP (port %s, %zu client processes) —\n%s",
+              port.c_str(), children.size(), got.c_str());
 
   bool ok = true;
   for (const pid_t pid : children) {

@@ -1,11 +1,15 @@
-// Event-driven federated simulation engine.
+// Event-driven federated simulation engine: fl::ServerCore driven by
+// in-process clients on a virtual clock.
 //
 // Where fl::Simulation runs a lock-step round loop, this engine runs a
 // virtual-clock timeline: every dispatched client takes
 //   download → local compute → upload
 // virtual seconds (drawn from its netsim::ClientProfile), and its update
-// becomes visible to the server only when the upload arrives. What the
-// server does with arrivals is pluggable through AsyncAggregator:
+// becomes visible to the server only when the upload arrives. Every server
+// decision — selection, wave and slot bookkeeping, ledgers, the commit
+// under the aggregation mode below, evaluation, checkpoint fields — is
+// made by fl::ServerCore (fl/server_core.hpp), the same state machine the
+// transport server runtime drives:
 //
 //   kBarrier   — wait for the whole selection wave, then aggregate exactly
 //                like the sync engine (bit-equivalent trajectories; the
@@ -15,13 +19,20 @@
 //   kBufferedK — semi-async: buffer K arrivals, then merge the buffer with
 //                staleness-weighted deltas (FedBuff-style).
 //
+// The engine itself keeps what is specific to simulating the clients: the
+// event scheduler and the per-dispatch timelines, the training pool, the
+// scenario's churn, deadline, fault and retry handling, availability
+// wake-ups, and the job/event part of its checkpoints. It reports each
+// dispatch's fate to the core as an event (upload arrived, abandoned,
+// rejected; dropped deliveries are charged separately).
+//
 // Determinism: all server-side decisions happen on the engine thread in
 // (virtual time, insertion seq) event order; client training runs on the
 // thread pool but against a parameter snapshot taken at dispatch (one
 // shared copy per model version) and a (client, dispatch)-keyed Rng
 // stream, so trajectories are identical for any worker-thread count.
-// Async commits quiesce outstanding training (real time only — the
-// virtual timeline is unaffected) before invoking begin_round/end_round,
+// Commits quiesce outstanding training (real time only — the virtual
+// timeline is unaffected) before invoking begin_round/end_round,
 // preserving the Strategy contract that server hooks never overlap
 // run_client.
 #pragma once
@@ -63,47 +74,6 @@ struct PendingUpdate {
   double download_seconds = 0.0;
   double upload_seconds = 0.0;
 };
-
-/// Server-side commit policy: decides, per arrival, whether a batch of
-/// updates is committed into the global model now. Implementations are
-/// called from the engine thread only.
-class AsyncAggregator {
- public:
-  virtual ~AsyncAggregator() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Offers one arrived update. Returns the batch to commit now in
-  /// deterministic commit order, or an empty vector to keep buffering.
-  [[nodiscard]] virtual std::vector<PendingUpdate> offer(
-      PendingUpdate update) = 0;
-  /// Surrenders everything held back, in the same deterministic order a
-  /// regular release would use. The engine calls this for partial-cohort
-  /// commits: a scenario wave whose missing members were abandoned (churn
-  /// or deadline cutoff) must aggregate what actually arrived.
-  [[nodiscard]] virtual std::vector<PendingUpdate> flush() = 0;
-  /// Updates currently held back.
-  [[nodiscard]] virtual std::size_t buffered() const = 0;
-};
-
-class ShardedAccumulator;
-
-/// Staleness-weighted merge (FedAsync / FedBuff semantics): every update is
-/// turned into a delta against the *current* global (parameter-type
-/// outcomes subtract it, update-type outcomes already are one), deltas are
-/// averaged per coordinate over the transmitting clients with weight
-/// |D_k| · (1+τ_k)^-a, and the global takes an α-sized step along the mean.
-/// Shared by the event-driven engine and the transport server runtime
-/// (src/transport/server_runtime.cpp) so the two commit paths cannot drift.
-void staleness_merge(ShardedAccumulator& acc, std::span<float> global,
-                     const std::vector<PendingUpdate>& batch,
-                     const StalenessConfig& cfg, std::size_t commit_version);
-
-/// Barrier: commit when all `wave_size` updates of the wave have arrived,
-/// ordered by selection slot — the sync engine's semantics.
-std::unique_ptr<AsyncAggregator> make_barrier_aggregator(std::size_t wave_size);
-/// FedAsync: every arrival commits immediately.
-std::unique_ptr<AsyncAggregator> make_fedasync_aggregator();
-/// Buffered-K: commit every k arrivals, in arrival order.
-std::unique_ptr<AsyncAggregator> make_buffered_aggregator(std::size_t k);
 
 struct AsyncSimulationConfig {
   SimulationConfig base;  ///< rounds = number of commits (= sync rounds)

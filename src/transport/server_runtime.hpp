@@ -1,32 +1,36 @@
-// Federated server running behind a ServerTransport.
+// Federated server running behind a ServerTransport: fl::ServerCore
+// driven by sessions instead of a virtual clock.
 //
-// This is the engine's server half lifted onto real (or loopback)
-// connections: the same selection rng discipline, the same commit
-// arithmetic (fused slot-ordered aggregation under barrier,
-// fl::staleness_merge under the async modes), the same RoundRecord and
-// conservation ledgers, and the same commit-boundary checkpoints — so a
-// round driven over TCP produces a trajectory bit-identical to
-// fl::AsyncSimulation, and Strategy / AsyncAggregator code runs unchanged.
+// The core (fl/server_core.hpp) makes every server decision — selection
+// with its rng and idle set, wave and slot bookkeeping, the conservation
+// ledgers, the commit (fused slot-ordered aggregate or staleness merge,
+// end_round/begin_round, the RoundRecord, evaluation, the dense-f32
+// broadcast) and the checkpoint fields — the same code fl::AsyncSimulation
+// drives, so a run over TCP produces a trajectory bit-identical to the
+// in-process engine and Strategy code runs unchanged. The core hands this
+// runtime each chosen client through launch(); the runtime reports back
+// one event per dispatch (upload accepted, abandoned at its deadline,
+// terminally rejected) plus every dropped delivery.
 //
-// What replaces the virtual timeline is the session state machine:
+// What the runtime keeps is the transport side:
 //
 //   Hello → Welcome        bind a connection to a client id; a token from
 //                          a previous Welcome resumes the session, and a
 //                          reconnect supersedes (closes) the old one.
-//   Dispatch → Upload      one in-flight record per selected client, keyed
-//                          by the engine-global dispatch index. Stale or
-//                          duplicate indices (a client re-sending after
-//                          reconnect) are charged to the delivery ledger
-//                          and Ack'd, never aggregated — at-most-once
-//                          commit by construction.
+//   Dispatch → Upload      one in-flight record per launched client, keyed
+//                          by the global dispatch index. Stale or duplicate
+//                          indices (a client re-sending after reconnect)
+//                          are charged as rejected deliveries and Ack'd,
+//                          never aggregated — at-most-once commit by
+//                          construction.
 //   Upload → Ack/Reject    payloads arrive CRC-sealed; try_decode rejects
 //                          corrupt ones with connection context, retryable
 //                          until max_upload_attempts, then the dispatch is
-//                          terminally rejected (conservation: rejected).
+//                          terminally rejected.
 //   deadline → abandon     a dispatch with no accepted upload within
-//                          dispatch_deadline_seconds is abandoned
-//                          (conservation: abandoned) — the churn path for
-//                          clients that died and never came back.
+//                          dispatch_deadline_seconds is abandoned — the
+//                          churn path for clients that died and never came
+//                          back.
 //   backpressure           a refused transport send parks the message (the
 //                          dispatch stays unsent, control frames queue) and
 //                          retries on on_drain; a session whose control
@@ -44,9 +48,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -54,11 +56,10 @@
 #include "checkpoint/checkpoint.hpp"
 #include "data/partition.hpp"
 #include "fl/async_simulation.hpp"
-#include "fl/fused_aggregate.hpp"
 #include "fl/metrics.hpp"
+#include "fl/server_core.hpp"
 #include "fl/strategy.hpp"
 #include "nn/model.hpp"
-#include "tensor/rng.hpp"
 #include "transport/clock.hpp"
 #include "transport/decode_pool.hpp"
 #include "transport/protocol.hpp"
@@ -111,32 +112,32 @@ struct TransportServerResult {
   }
 };
 
-class ServerRuntime final : public ServerTransport::Handler {
+class ServerRuntime final : public ServerTransport::Handler,
+                            private fl::ServerCore::Driver {
  public:
   ServerRuntime(TransportServerConfig cfg, ServerTransport& transport,
                 nn::ModelFactory factory, data::DatasetPtr test_data,
                 data::Partition partition, fl::StrategyPtr strategy);
 
-  /// Initializes (or resumes) the model and dispatches the first wave.
+  /// Resumes from a checkpoint when configured, then dispatches the first
+  /// wave.
   void start();
 
   /// True once every configured round has committed.
-  [[nodiscard]] bool done() const noexcept {
-    return version_ >= cfg_.base.rounds;
-  }
+  [[nodiscard]] bool done() const noexcept { return core_.done(); }
 
   /// Runs one transport slice (deliver frames, fire deadlines).
   void pump(double max_wait_seconds) { transport_.step(max_wait_seconds); }
 
-  /// Drains farewell traffic and returns the final result. Call after
-  /// done(); further pumps are harmless.
+  /// Drains farewell traffic and returns the final result. Call once,
+  /// after done(); further pumps are harmless.
   TransportServerResult finish();
 
   /// start() + pump until done() + finish().
   TransportServerResult run();
 
   [[nodiscard]] std::size_t rounds_completed() const noexcept {
-    return version_;
+    return core_.version();
   }
 
   // ServerTransport::Handler
@@ -146,12 +147,11 @@ class ServerRuntime final : public ServerTransport::Handler {
   void on_drain(SessionId session) override;
 
  private:
+  using Broadcast = std::shared_ptr<const std::vector<std::uint8_t>>;
+
   struct InFlight {
-    std::size_t client = 0;
-    std::size_t slot = 0;
-    std::size_t version = 0;  ///< model version of the dispatch snapshot
-    std::size_t dispatch_index = 0;
-    std::uint64_t rng_stream = 0;
+    fl::ServerCore::Dispatch dispatch;
+    Broadcast broadcast;       ///< the model of the dispatch's version
     std::size_t attempts = 1;  ///< delivery attempts consumed (1-based)
     bool sent = false;         ///< Dispatch actually handed to the transport
     std::unique_ptr<DeadlineTimer> deadline;
@@ -167,49 +167,32 @@ class ServerRuntime final : public ServerTransport::Handler {
     std::vector<std::uint8_t> body;
   };
 
+  // fl::ServerCore::Driver
+  void launch(const fl::ServerCore::Dispatch& d) override;
+  [[nodiscard]] double now() const override { return transport_.now(); }
+
   void handle_hello(SessionId session, const Frame& frame);
   void handle_upload(SessionId session, const Frame& frame);
   /// Completion half of an upload: dedup check, reject/retry accounting,
-  /// ack, aggregator offer, commit. Runs at delivery time inline
+  /// ack, and the core event. Runs at delivery time inline
   /// (decode_workers == 0) or at the scheduler tick in arrival order.
   void finish_upload(DecodeJob& job);
   /// Tick hook body: harvests decoded jobs, finishes them in arrival
   /// order, and re-submits parked uploads. Returns true when it did work.
   bool drain_decodes();
-  void dispatch(std::size_t client, std::size_t slot, std::uint64_t rng_stream);
-  void dispatch_wave();
-  void top_up();
   void try_send_dispatch(std::size_t client);
-  void resolve_slot_released();  ///< wave/top-up bookkeeping after a resolve
-  void commit(std::vector<fl::PendingUpdate> batch);
-  void finish_wave();
-  void evaluate_into(fl::RoundRecord& rec);
-  void ensure_broadcast();
-  void write_checkpoint();
-  bool try_resume();
   void broadcast_fin();
   /// send() with parking: a refused frame queues per session and is
   /// retried on on_drain; an overflowing queue sheds the session.
   void send_control(SessionId session, FrameType type,
                     std::vector<std::uint8_t> body);
-  [[nodiscard]] std::string engine_name() const;
 
   TransportServerConfig cfg_;
   ServerTransport& transport_;
-  nn::ModelFactory factory_;
-  data::DatasetPtr test_data_;
   fl::StrategyPtr strategy_;
-
-  std::size_t population_ = 0;
   std::vector<std::size_t> populated_;  ///< ascending populated client ids
-  std::size_t select_ = 0;
+  fl::ServerCore core_;
 
-  tensor::Rng rng_;
-  tensor::Rng client_rng_base_;  ///< kept for symmetry with the engine
-  std::unique_ptr<nn::Model> model_;
-  std::vector<float> global_;
-  std::unique_ptr<fl::AsyncAggregator> aggregator_;
-  fl::ShardedAccumulator sharded_;
   std::unique_ptr<DecodePool> decode_pool_;  ///< null when decoding inline
   /// Arrivals refused by a full decode queue, in arrival order. Once
   /// anything is parked, every later upload parks behind it so finish
@@ -217,14 +200,9 @@ class ServerRuntime final : public ServerTransport::Handler {
   std::deque<std::unique_ptr<DecodeJob>> parked_uploads_;
   bool draining_decodes_ = false;  ///< reentrancy guard for drain_decodes
 
-  std::size_t version_ = 0;
-  std::size_t dispatched_ = 0;
-  std::size_t wave_outstanding_ = 0;
-  std::map<std::size_t, InFlight> inflight_;  ///< keyed by client id
-
-  std::vector<std::uint8_t> broadcast_;  ///< encoded global, current version
-  std::uint64_t downlink_bytes_ = 0;
-  bool broadcast_valid_ = false;
+  std::unordered_map<std::size_t, InFlight> inflight_;  ///< by client id
+  Broadcast broadcast_;  ///< encoded global of broadcast_version_
+  std::size_t broadcast_version_ = 0;
 
   std::unordered_map<SessionId, Session> sessions_;
   std::unordered_map<std::size_t, SessionId> client_session_;
@@ -235,16 +213,6 @@ class ServerRuntime final : public ServerTransport::Handler {
   std::unordered_map<SessionId, std::deque<ParkedFrame>> parked_;
   std::uint64_t token_counter_ = 0;
   bool fin_broadcast_ = false;
-
-  // Ledgers, mirroring the engine's conservation accounting.
-  std::size_t committed_total_ = 0;
-  std::size_t abandoned_total_ = 0;
-  std::size_t rejected_total_ = 0;
-  std::size_t rejected_deliveries_total_ = 0;
-  std::uint64_t rejected_bytes_total_ = 0;
-  std::size_t round_abandoned_ = 0;
-  std::size_t round_rejected_ = 0;
-  std::uint64_t round_rejected_bytes_ = 0;
 
   TransportServerResult result_;
 };

@@ -13,7 +13,7 @@
 // (protocol.hpp), and the same deadline machinery (clock.hpp over
 // fl::EventScheduler) — the runtimes (server_runtime/client_runtime)
 // cannot tell them apart, which is the whole point: Strategy and
-// AsyncAggregator code runs unchanged on both.
+// fl::ServerCore code runs unchanged on both.
 //
 // Threading contract: everything here is single-threaded. Handlers fire
 // from inside step() (or, for the loopback, from inside calls that

@@ -4,8 +4,9 @@
 // protocol codecs, loopback bit-parity of the transport server runtime
 // against the in-process engine, deterministic chaos (corruption, abrupt
 // disconnects with session resume, dead clients, backpressure, slowloris
-// eviction), crash-and-resume from commit-boundary checkpoints, and the
-// epoll TCP backend end-to-end over localhost.
+// eviction), the async aggregation modes, crash-and-resume from
+// commit-boundary checkpoints, and the epoll TCP backend end-to-end over
+// localhost.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -31,6 +32,7 @@
 #include "transport/protocol.hpp"
 #include "transport/ring_buffer.hpp"
 #include "transport/server_runtime.hpp"
+#include "wire/crc32c.hpp"
 #include "wire/reader.hpp"
 
 namespace fedbiad {
@@ -412,6 +414,14 @@ void expect_conserved(const transport::TransportServerResult& r) {
       << " in_flight=" << r.sim.final_in_flight;
 }
 
+/// The TCP commit comes from the same core as the engine's, so every
+/// RoundRecord carries its measured aggregation time.
+void expect_commits_timed(const transport::TransportServerResult& r) {
+  for (const fl::RoundRecord& rec : r.sim.rounds) {
+    EXPECT_GT(rec.aggregate_seconds, 0.0) << "round " << rec.round;
+  }
+}
+
 TEST(LoopbackParity, FedAvgBitIdenticalToEngine) {
   const auto w = tools::make_demo_workload("fedavg", true);
   const std::string want =
@@ -423,6 +433,7 @@ TEST(LoopbackParity, FedAvgBitIdenticalToEngine) {
   EXPECT_EQ(result.sessions_opened, 8u);
   EXPECT_EQ(result.sessions_resumed, 0u);
   for (auto& c : run.clients) EXPECT_TRUE(c->finished());
+  expect_commits_timed(result);
 }
 
 TEST(LoopbackParity, FedBiadBitIdenticalToEngine) {
@@ -433,6 +444,67 @@ TEST(LoopbackParity, FedBiadBitIdenticalToEngine) {
   const auto result = run.drive();
   expect_conserved(result);
   EXPECT_EQ(tools::trajectory_text(result.sim), want);
+  expect_commits_timed(result);
+}
+
+// --- async aggregation over the transport ---------------------------------
+
+/// The contract both async modes share over loopback, at 0 and 2 decode
+/// workers: every round commits, the ledger conserves, the dispatch total
+/// is the fixed async budget (rounds × updates per commit), and the final
+/// parameters do not depend on the worker count.
+void expect_async_contract(fl::AggregationMode mode, std::size_t per_commit) {
+  for (const char* method : {"fedavg", "fedbiad"}) {
+    std::uint32_t crc_at_zero = 0;
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+      transport::TransportServerConfig scfg;
+      scfg.mode = mode;
+      scfg.buffer_size = per_commit;
+      scfg.decode_workers = workers;
+      LoopbackRun run(method, scfg);
+      const auto result = run.drive();
+      expect_conserved(result);
+      EXPECT_EQ(result.sim.rounds.size(), run.w.sim.rounds) << method;
+      EXPECT_EQ(result.sim.total_dispatched, run.w.sim.rounds * per_commit)
+          << method;
+      const std::vector<float>& params = result.sim.final_params;
+      const std::uint32_t crc = wire::crc32c(
+          {reinterpret_cast<const std::uint8_t*>(params.data()),
+           params.size() * sizeof(float)});
+      if (workers == 0) {
+        crc_at_zero = crc;
+      } else {
+        EXPECT_EQ(crc, crc_at_zero) << method << " with " << workers
+                                    << " decode workers";
+      }
+      for (auto& c : run.clients) EXPECT_TRUE(c->finished());
+    }
+  }
+}
+
+TEST(LoopbackAsync, BufferedKCommitsEveryRoundAndConserves) {
+  expect_async_contract(fl::AggregationMode::kBufferedK, 2);
+}
+
+TEST(LoopbackAsync, FedAsyncCommitsEveryRoundAndConserves) {
+  expect_async_contract(fl::AggregationMode::kFedAsync, 1);
+}
+
+TEST(LoopbackAsync, AbandonedDispatchesAreReplaced) {
+  // Client 1 never connects, so each of its dispatches is abandoned at the
+  // deadline. The async budget must replace every one of them, or the run
+  // stalls short of its commits.
+  transport::TransportServerConfig scfg;
+  scfg.mode = fl::AggregationMode::kBufferedK;
+  scfg.buffer_size = 2;
+  scfg.dispatch_deadline_seconds = 5.0;
+  LoopbackRun run("fedavg", scfg, /*skip_client=*/1);
+  const auto result = run.drive(/*advance_dt=*/1.0);
+  expect_conserved(result);
+  EXPECT_GT(result.sim.total_abandoned, 0u);
+  EXPECT_EQ(result.sim.rounds.size(), run.w.sim.rounds);
+  EXPECT_EQ(result.sim.total_dispatched,
+            run.w.sim.rounds * 2 + result.sim.total_abandoned);
 }
 
 TEST(LoopbackChaos, AbruptDisconnectResumesAndStaysBitIdentical) {
