@@ -17,13 +17,13 @@
 #include "compress/dgc.hpp"
 #include "compress/quantize.hpp"
 #include "core/drop_pattern.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/fused_aggregate.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/mlp_model.hpp"
 #include "tensor/ops.hpp"
+#include "wire/compact.hpp"
 #include "wire/crc32c.hpp"
 #include "wire/update_codec.hpp"
 
@@ -241,7 +241,7 @@ void BM_DecodeRowMasked(benchmark::State& state) {
   const auto payload =
       wire::encode_row_masked(store, pattern.bits(), store.params());
   for (auto _ : state) {
-    auto decoded = wire::decode_update(store, payload);
+    auto decoded = wire::decode_update_compact(store, payload);
     benchmark::DoNotOptimize(decoded.values.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -267,35 +267,10 @@ void BM_EncodeSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeSparse)->Arg(1000)->Arg(100000);
 
-void BM_Aggregate(benchmark::State& state) {
-  const std::size_t n = 500000;
-  const std::size_t clients = 10;
-  tensor::Rng rng(7);
-  std::vector<fl::ClientOutcome> outcomes(clients);
-  for (auto& o : outcomes) {
-    o.samples = 100;
-    o.values.resize(n);
-    o.present = wire::Bitset(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      o.values[i] = static_cast<float>(rng.normal(0, 1));
-      o.present.set(i, rng.bernoulli(0.5));
-    }
-  }
-  std::vector<float> global(n, 0.0F);
-  for (auto _ : state) {
-    fl::aggregate(global, outcomes,
-                  fl::AggregationRule::kPerCoordinateNormalized);
-    benchmark::DoNotOptimize(global.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * clients));
-}
-BENCHMARK(BM_Aggregate);
-
 // The server's actual ingest hot path: compact decode of a row-masked wire
 // payload straight into the shard-parallel fused committer, never
 // materializing a dense per-client vector. Items = model coordinates
-// offered per pass (clients × n), matching BM_Aggregate's accounting.
+// offered per pass (clients × n), transmitted or not.
 void BM_FusedIngest(benchmark::State& state) {
   nn::MlpModel model({.input = 784, .hidden = 256, .classes = 10});
   tensor::Rng rng(14);

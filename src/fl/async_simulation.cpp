@@ -15,6 +15,7 @@
 #include "fl/server_core.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
+#include "wire/compact.hpp"
 #include "wire/update_codec.hpp"
 
 namespace fedbiad::fl {
@@ -164,10 +165,11 @@ void EngineRun::launch(const ServerCore::Dispatch& d) {
     job.churn_fraction = churn.fraction;
   }
   if (!snapshot_ || snapshot_version_ != d.version) {
-    // Clients train from the decoded broadcast (once per version).
+    // Clients train from the decoded broadcast (once per version). Dense
+    // f32 decodes to the kDense form, whose `values` is the whole model.
     snapshot_.reset();
-    wire::Decoded decoded =
-        wire::decode_update(core_.layout(), core_.encode_broadcast());
+    wire::CompactUpdate decoded =
+        wire::decode_update_compact(core_.layout(), core_.encode_broadcast());
     snapshot_ =
         std::make_shared<const std::vector<float>>(std::move(decoded.values));
     snapshot_version_ = d.version;

@@ -14,56 +14,14 @@ namespace fedbiad::fl {
 
 namespace fused {
 
-namespace ref {
-
-void accumulate_run(double* acc, double* present_weight, const float* values,
-                    std::size_t len, double weight) {
-  for (std::size_t i = 0; i < len; ++i) {
-    acc[i] += weight * static_cast<double>(values[i]);
-    present_weight[i] += weight;
-  }
-}
-
-void merge_param_run(double* acc, double* weight_acc, const float* values,
-                     const float* global, std::size_t len, double weight) {
-  for (std::size_t i = 0; i < len; ++i) {
-    acc[i] += weight * (static_cast<double>(values[i]) -
-                        static_cast<double>(global[i]));
-    weight_acc[i] += weight;
-  }
-}
-
-void accumulate_sparse(double* acc, double* present_weight,
-                       const std::uint32_t* indices, const float* values,
-                       std::size_t count, std::size_t base, double weight) {
-  for (std::size_t c = 0; c < count; ++c) {
-    const std::size_t i = indices[c] - base;
-    acc[i] += weight * static_cast<double>(values[c]);
-    present_weight[i] += weight;
-  }
-}
-
-void merge_param_sparse(double* acc, double* weight_acc,
-                        const std::uint32_t* indices, const float* values,
-                        const float* global, std::size_t count,
-                        std::size_t base, double weight) {
-  for (std::size_t c = 0; c < count; ++c) {
-    const std::size_t i = indices[c] - base;
-    acc[i] += weight * (static_cast<double>(values[c]) -
-                        static_cast<double>(global[indices[c]]));
-    weight_acc[i] += weight;
-  }
-}
-
-}  // namespace ref
-
 namespace {
 
 // GNU vector extensions: width-agnostic source, codegen picks the lanes the
 // TU's -march allows (256-bit on x86-64-v3, split 128-bit pairs on the
 // portable build). This file is compiled with -ffp-contract=off, so the
 // w*v + acc below stays a distinct IEEE multiply and add per lane — never
-// an FMA — matching the scalar ref:: kernels bit for bit.
+// an FMA — matching the scalar tails below (and the scalar test oracles in
+// tests/support/dense_oracle.cpp) bit for bit.
 using V4d = double __attribute__((vector_size(32)));
 
 // Widen four floats to four doubles. The element-wise initializer — not
@@ -84,6 +42,47 @@ inline V4d load4d(const double* p) noexcept {
 
 inline void store4d(double* p, V4d v) noexcept { std::memcpy(p, &v, sizeof v); }
 
+// Scalar tails: the last len % 4 elements of each kernel below, one IEEE
+// multiply and one add per coordinate like every vector lane.
+void tail_run(double* acc, double* present_weight, const float* values,
+              std::size_t len, double weight) {
+  for (std::size_t i = 0; i < len; ++i) {
+    acc[i] += weight * static_cast<double>(values[i]);
+    present_weight[i] += weight;
+  }
+}
+
+void tail_merge_run(double* acc, double* weight_acc, const float* values,
+                    const float* global, std::size_t len, double weight) {
+  for (std::size_t i = 0; i < len; ++i) {
+    acc[i] += weight * (static_cast<double>(values[i]) -
+                        static_cast<double>(global[i]));
+    weight_acc[i] += weight;
+  }
+}
+
+void tail_sparse(double* acc, double* present_weight,
+                 const std::uint32_t* indices, const float* values,
+                 std::size_t count, std::size_t base, double weight) {
+  for (std::size_t c = 0; c < count; ++c) {
+    const std::size_t i = indices[c] - base;
+    acc[i] += weight * static_cast<double>(values[c]);
+    present_weight[i] += weight;
+  }
+}
+
+void tail_merge_sparse(double* acc, double* weight_acc,
+                       const std::uint32_t* indices, const float* values,
+                       const float* global, std::size_t count,
+                       std::size_t base, double weight) {
+  for (std::size_t c = 0; c < count; ++c) {
+    const std::size_t i = indices[c] - base;
+    acc[i] += weight * (static_cast<double>(values[c]) -
+                        static_cast<double>(global[indices[c]]));
+    weight_acc[i] += weight;
+  }
+}
+
 }  // namespace
 
 void accumulate_run(double* acc, double* present_weight, const float* values,
@@ -96,8 +95,7 @@ void accumulate_run(double* acc, double* present_weight, const float* values,
     store4d(present_weight + i, load4d(present_weight + i) + wv);
   }
   if (i < len) {
-    ref::accumulate_run(acc + i, present_weight + i, values + i, len - i,
-                        weight);
+    tail_run(acc + i, present_weight + i, values + i, len - i, weight);
   }
 }
 
@@ -112,8 +110,8 @@ void merge_param_run(double* acc, double* weight_acc, const float* values,
     store4d(weight_acc + i, load4d(weight_acc + i) + wv);
   }
   if (i < len) {
-    ref::merge_param_run(acc + i, weight_acc + i, values + i, global + i,
-                         len - i, weight);
+    tail_merge_run(acc + i, weight_acc + i, values + i, global + i, len - i,
+                   weight);
   }
 }
 
@@ -124,7 +122,7 @@ void accumulate_sparse(double* acc, double* present_weight,
   std::size_t c = 0;
   // Vectorize the multiply; scatter stays scalar. Indices are strictly
   // ascending, so the four destinations of one batch are distinct and the
-  // scalar adds land in the same per-coordinate order as ref::.
+  // scalar adds land in the same per-coordinate order as a scalar loop.
   for (; c + 4 <= count; c += 4) {
     const V4d prod = wv * widen4(values + c);
     for (std::size_t t = 0; t < 4; ++t) {
@@ -134,8 +132,8 @@ void accumulate_sparse(double* acc, double* present_weight,
     }
   }
   if (c < count) {
-    ref::accumulate_sparse(acc, present_weight, indices + c, values + c,
-                           count - c, base, weight);
+    tail_sparse(acc, present_weight, indices + c, values + c, count - c,
+                base, weight);
   }
 }
 
@@ -159,8 +157,8 @@ void merge_param_sparse(double* acc, double* weight_acc,
     }
   }
   if (c < count) {
-    ref::merge_param_sparse(acc, weight_acc, indices + c, values + c, global,
-                            count - c, base, weight);
+    tail_merge_sparse(acc, weight_acc, indices + c, values + c, global,
+                      count - c, base, weight);
   }
 }
 

@@ -1,17 +1,17 @@
 // Fused decode→aggregate: commits compact client updates straight into the
 // global model without ever materializing a dense per-client value vector.
 //
-// fl::aggregate (aggregate.hpp) streams dense length-N `values`/`present`
-// pairs — O(model) bytes per pending client, which is what caps how many
-// uploads the event-driven engine can hold in flight. The fused path takes
-// wire::CompactUpdate views (O(transmitted) each) and accumulates them with
-// the *identical* floating-point operation sequence: coordinate blocks
-// outer, clients middle in batch order, coordinates inner ascending, every
-// contribution added as `w * (double)v` into a double panel exactly as the
-// dense kernel does. Per coordinate the adds land in the same order with
-// the same operands, so the committed global is bit-identical to the dense
-// path — tests/test_scale.cpp pins this per payload form, and the 12
-// engine goldens pin it end to end.
+// A dense commit would stream length-N `values`/`present` pairs — O(model)
+// bytes per pending client, which caps how many uploads the event-driven
+// engine can hold in flight. The fused path takes wire::CompactUpdate views
+// (O(transmitted) each) and accumulates them in a fixed floating-point
+// operation sequence: coordinate blocks outer, clients middle in batch
+// order, coordinates inner ascending, every contribution added as
+// `w * (double)v` into a double panel. Per coordinate the adds land in the
+// same order with the same operands as the dense test oracle
+// (tests/support/dense_oracle.hpp), so the committed global is
+// bit-identical to it — tests/test_scale.cpp pins this per payload form,
+// and the 12 engine goldens pin it end to end.
 //
 // ShardedAccumulator owns the per-block accumulator panels: each parallel
 // chunk leases a cache-aligned panel pair from a free list, so concurrent
@@ -44,10 +44,11 @@ namespace fedbiad::fl {
 /// Inner kernels of the fused committer, compiled with wide vector lanes
 /// but -ffp-contract=off (see src/CMakeLists.txt): per coordinate they
 /// execute exactly `acc += w * (double)v` as separate IEEE multiply and
-/// add, so their results are bit-identical to the scalar fused::ref::
-/// versions below and to the dense kernel in fl/aggregate.cpp.
-/// Vectorization batches *across* coordinates only — the operation sequence
-/// at any one coordinate is unchanged.
+/// add, so their results are bit-identical to plain scalar loops (the
+/// scalar oracles in tests/support/dense_oracle.hpp; tests/test_scale.cpp
+/// pins the two against each other on ragged lengths). Vectorization
+/// batches *across* coordinates only — the operation sequence at any one
+/// coordinate is unchanged.
 namespace fused {
 
 /// Contiguous run: acc[i] += weight * (double)values[i] and
@@ -74,23 +75,6 @@ void merge_param_sparse(double* acc, double* weight_acc,
                         const float* global, std::size_t count,
                         std::size_t base, double weight);
 
-/// Scalar reference kernels — the loops the vector versions must match
-/// bitwise (tests/test_scale.cpp pins them against each other on ragged
-/// lengths).
-namespace ref {
-void accumulate_run(double* acc, double* present_weight, const float* values,
-                    std::size_t len, double weight);
-void merge_param_run(double* acc, double* weight_acc, const float* values,
-                     const float* global, std::size_t len, double weight);
-void accumulate_sparse(double* acc, double* present_weight,
-                       const std::uint32_t* indices, const float* values,
-                       std::size_t count, std::size_t base, double weight);
-void merge_param_sparse(double* acc, double* weight_acc,
-                        const std::uint32_t* indices, const float* values,
-                        const float* global, std::size_t count,
-                        std::size_t base, double weight);
-}  // namespace ref
-
 }  // namespace fused
 
 /// One pending update as the fused committer sees it: a borrowed compact
@@ -106,9 +90,8 @@ struct FusedUpdate {
 
 class ShardedAccumulator {
  public:
-  /// Coordinates per accumulator block. Equals the dense kernel's block and
-  /// CompactUpdate::kRankStride, so a block start costs one rank-directory
-  /// probe.
+  /// Coordinates per accumulator block. Equals CompactUpdate::kRankStride,
+  /// so a block start costs one rank-directory probe.
   static constexpr std::size_t kBlock = 4096;
 
   // Out of line: Panel is incomplete here, and both special members
@@ -118,9 +101,14 @@ class ShardedAccumulator {
   ShardedAccumulator(const ShardedAccumulator&) = delete;
   ShardedAccumulator& operator=(const ShardedAccumulator&) = delete;
 
-  /// FedAvg-style commit: mirrors fl::aggregate bit for bit. `weight` must
-  /// be each update's sample count (the dense kernel derives it from
-  /// ClientOutcome::samples); total weight is their sum in batch order.
+  /// FedAvg-style commit (eq. 10). `weight` must be each update's sample
+  /// count |D_k|; total weight is their sum in batch order. Parameter-type
+  /// updates replace coordinates and update-type ones add a weighted-average
+  /// delta; all updates in one call must agree on is_update.
+  /// kMaskedAverage implements eq. 10 literally (untransmitted coordinates
+  /// count as zeros); kPerCoordinateNormalized averages every coordinate
+  /// over the clients that transmitted it and keeps the previous global
+  /// value where none did.
   void aggregate(std::span<float> global_params,
                  std::span<const FusedUpdate> updates, AggregationRule rule);
 

@@ -352,9 +352,9 @@ void ServerCore::commit(std::vector<PendingUpdate> batch) {
   double staleness_acc = 0.0;
   if (barrier_) {
     // Compact outcomes in selection-slot order through the fused committer
-    // under the strategy's rule: per coordinate the double adds land in the
-    // same order with the same operands as fl::aggregate on the dense
-    // decode (the goldens pin it).
+    // under the strategy's rule: per coordinate the double adds land in
+    // selection-slot order with the same operands on every thread count
+    // (the goldens pin it).
     std::vector<FusedUpdate> fused(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       fused[i].update = &batch[i].outcome.compact;

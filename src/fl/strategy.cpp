@@ -8,14 +8,14 @@
 
 namespace fedbiad::fl {
 
-wire::Decoded Strategy::decode_payload(const nn::ParameterStore& layout,
-                                       const wire::Payload& payload) const {
-  return wire::decode_update(layout, payload);
-}
-
 wire::CompactUpdate Strategy::decode_payload_compact(
     const nn::ParameterStore& layout, const wire::Payload& payload) const {
   return wire::decode_update_compact(layout, payload);
+}
+
+wire::Decoded Strategy::decode_payload(const nn::ParameterStore& layout,
+                                       const wire::Payload& payload) const {
+  return wire::expand(decode_payload_compact(layout, payload));
 }
 
 std::vector<std::uint8_t> Strategy::save_state() const { return {}; }
@@ -26,30 +26,43 @@ void Strategy::load_state(std::span<const std::uint8_t> bytes) {
                     std::to_string(bytes.size()) + "-byte state blob");
 }
 
-void decode_outcome(const Strategy& strategy, const nn::ParameterStore& layout,
-                    ClientOutcome& out) {
-  // Decoding is a receive step, not a query: it charges the payload's bytes
-  // to uplink_bytes exactly once. The engines drop the raw payload right
-  // after decoding (and count abandoned uploads only in the wasted-bytes
-  // ledger, never here), so a second decode of the same outcome would
-  // silently re-charge — or, post-drop, zero — the measured traffic.
-  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0,
+namespace {
+
+// Decoding is a receive step, not a query: it charges the payload's bytes
+// to uplink_bytes exactly once. The engines drop the raw payload right
+// after decoding (and count abandoned uploads only in the wasted-bytes
+// ledger, never here), so a second decode of the same outcome would
+// silently re-charge — or, post-drop, zero — the measured traffic.
+void expect_undecoded(const ClientOutcome& out) {
+  FEDBIAD_CHECK(out.compact.empty(),
                 "outcome already decoded — uplink bytes would double-count");
-  wire::Decoded decoded = strategy.decode_payload(layout, out.payload);
-  FEDBIAD_CHECK(decoded.values.size() == layout.size() &&
-                    decoded.present.size() == layout.size(),
-                "decoded update does not match the model layout");
-  out.values = std::move(decoded.values);
-  out.present = std::move(decoded.present);
-  out.uplink_bytes = out.payload.size();
 }
 
-DecodeStatus try_decode_outcome(const Strategy& strategy,
-                                const nn::ParameterStore& layout,
-                                ClientOutcome& out, bool framed,
-                                const DecodeContext& ctx) {
-  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0,
-                "outcome already decoded — uplink bytes would double-count");
+/// Decodes through the strategy's hook and charges `wire_size` once.
+void receive(const Strategy& strategy, const nn::ParameterStore& layout,
+             ClientOutcome& out, std::uint64_t wire_size) {
+  wire::CompactUpdate compact =
+      strategy.decode_payload_compact(layout, out.payload);
+  FEDBIAD_CHECK(compact.size() == layout.size() && !compact.empty(),
+                "decoded update does not match the model layout");
+  out.compact = std::move(compact);
+  out.uplink_bytes = wire_size;
+}
+
+}  // namespace
+
+void decode_outcome_compact(const Strategy& strategy,
+                            const nn::ParameterStore& layout,
+                            ClientOutcome& out) {
+  expect_undecoded(out);
+  receive(strategy, layout, out, out.payload.size());
+}
+
+DecodeStatus try_decode_outcome_compact(const Strategy& strategy,
+                                        const nn::ParameterStore& layout,
+                                        ClientOutcome& out, bool framed,
+                                        const DecodeContext& ctx) {
+  expect_undecoded(out);
   const std::uint64_t wire_size = out.payload.size();
   auto wrap = [&ctx](const char* what) {
     std::ostringstream os;
@@ -62,57 +75,7 @@ DecodeStatus try_decode_outcome(const Strategy& strategy,
     // later section-decoder failure discards the payload anyway, so the
     // in-place strip never leaves a half-consumed frame in play.
     if (framed) wire::strip_seal(out.payload);
-    wire::Decoded decoded = strategy.decode_payload(layout, out.payload);
-    FEDBIAD_CHECK(decoded.values.size() == layout.size() &&
-                      decoded.present.size() == layout.size(),
-                  "decoded update does not match the model layout");
-    out.values = std::move(decoded.values);
-    out.present = std::move(decoded.present);
-    out.uplink_bytes = wire_size;
-    return {};
-  } catch (const wire::DecodeError& e) {
-    return {false, wrap(e.what())};
-  } catch (const CheckError& e) {
-    return {false, wrap(e.what())};
-  }
-}
-
-void decode_outcome_compact(const Strategy& strategy,
-                            const nn::ParameterStore& layout,
-                            ClientOutcome& out) {
-  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0 &&
-                    out.compact.empty(),
-                "outcome already decoded — uplink bytes would double-count");
-  wire::CompactUpdate compact = strategy.decode_payload_compact(layout,
-                                                                out.payload);
-  FEDBIAD_CHECK(compact.size() == layout.size() && !compact.empty(),
-                "decoded update does not match the model layout");
-  out.compact = std::move(compact);
-  out.uplink_bytes = out.payload.size();
-}
-
-DecodeStatus try_decode_outcome_compact(const Strategy& strategy,
-                                        const nn::ParameterStore& layout,
-                                        ClientOutcome& out, bool framed,
-                                        const DecodeContext& ctx) {
-  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0 &&
-                    out.compact.empty(),
-                "outcome already decoded — uplink bytes would double-count");
-  const std::uint64_t wire_size = out.payload.size();
-  auto wrap = [&ctx](const char* what) {
-    std::ostringstream os;
-    os << "upload from client " << ctx.client_id << " (dispatch "
-       << ctx.dispatch_seq << ", t=" << ctx.clock << "s) rejected: " << what;
-    return os.str();
-  };
-  try {
-    if (framed) wire::strip_seal(out.payload);
-    wire::CompactUpdate compact =
-        strategy.decode_payload_compact(layout, out.payload);
-    FEDBIAD_CHECK(compact.size() == layout.size() && !compact.empty(),
-                  "decoded update does not match the model layout");
-    out.compact = std::move(compact);
-    out.uplink_bytes = wire_size;
+    receive(strategy, layout, out, wire_size);
     return {};
   } catch (const wire::DecodeError& e) {
     return {false, wrap(e.what())};

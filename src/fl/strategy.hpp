@@ -31,20 +31,16 @@ struct TrainSettings {
 ///
 /// The client side fills `payload` — the actually-encoded upload buffer —
 /// plus the protocol metadata (`samples`, `is_update`, losses). The server
-/// decodes the payload on the engine thread before aggregation (see
-/// decode_outcome below), filling `values` (the dense length-N vector, with
-/// untransmitted coordinates zeroed), `present` (1 bit per coordinate —
-/// aggregation only trusts transmitted coordinates), and `uplink_bytes`
-/// (payload.size(): measured traffic, not a model of it).
+/// decodes the payload on arrival (see decode_outcome_compact below),
+/// filling `compact` (only the transmitted coordinates — aggregation trusts
+/// nothing else) and `uplink_bytes` (payload.size(): measured traffic, not a
+/// model of it).
 struct ClientOutcome {
   std::size_t client_id = 0;
   std::size_t samples = 0;  ///< |D_k|, the aggregation weight (eq. 10)
   wire::Payload payload;    ///< the client's encoded upload
-  std::vector<float> values;  ///< decoded by the server (engine thread)
-  wire::Bitset present;       ///< decoded by the server (engine thread)
-  /// The O(transmitted) decode used by the event-driven engine's fused
-  /// aggregation path (decode_outcome_compact). Mutually exclusive with
-  /// `values`/`present` — an outcome is decoded through exactly one view.
+  /// The decoded upload, filled by the server's receive step. O(transmitted)
+  /// memory: the fused committer aggregates it without a dense copy.
   wire::CompactUpdate compact;
   bool is_update = false;
   std::uint64_t uplink_bytes = 0;  ///< measured: payload.size()
@@ -102,20 +98,19 @@ class Strategy {
   virtual ClientOutcome run_client(ClientContext& ctx) = 0;
 
   /// Decodes one of this strategy's payloads against the server's model
-  /// layout. Runs on the engine thread when an upload arrives, before
-  /// aggregation. The default handles every layout-generic wire kind;
-  /// strategies whose encoding relies on session structure beyond the layout
-  /// (FjORD/HeteroFL's width plan, the composed dropout+compressor framing)
-  /// override it.
-  [[nodiscard]] virtual wire::Decoded decode_payload(
+  /// layout — the one decode hook a strategy overrides. Runs when an upload
+  /// arrives, before aggregation, on the engine thread or a decode worker.
+  /// The default handles every layout-generic wire kind through
+  /// wire::decode_update_compact; strategies whose encoding relies on
+  /// session structure beyond the layout (FjORD/HeteroFL's width plan, the
+  /// composed dropout+compressor framing) override it.
+  [[nodiscard]] virtual wire::CompactUpdate decode_payload_compact(
       const nn::ParameterStore& layout, const wire::Payload& payload) const;
 
-  /// Compact counterpart of decode_payload: the same decode (identical
-  /// validation, bit-identical values at bit-identical coordinates — pinned
-  /// by tests/test_scale.cpp) delivered in O(transmitted) form. Strategies
-  /// that override decode_payload must override this too so the two views
-  /// never diverge; the default routes through wire::decode_update_compact.
-  [[nodiscard]] virtual wire::CompactUpdate decode_payload_compact(
+  /// Dense view of decode_payload_compact: wire::expand of its result. For
+  /// callers that want the wide vector (the composed strategy reading its
+  /// inner upload, tests); no library strategy overrides it.
+  [[nodiscard]] virtual wire::Decoded decode_payload(
       const nn::ParameterStore& layout, const wire::Payload& payload) const;
 
   /// Called on the engine thread before clients start (round is 1-based).
@@ -171,12 +166,13 @@ class Strategy {
 using StrategyPtr = std::shared_ptr<Strategy>;
 
 /// The server-side receive step: decodes `out.payload` through the
-/// strategy's codec into `out.values` / `out.present` and records the
-/// measured `out.uplink_bytes`. The engines call this on the engine thread
-/// when an upload arrives; tests and tools that drive run_client directly
-/// call it to reconstruct the dense view.
-void decode_outcome(const Strategy& strategy,
-                    const nn::ParameterStore& layout, ClientOutcome& out);
+/// strategy's decode_payload_compact into `out.compact` and records the
+/// measured `out.uplink_bytes`, exactly once per outcome (a second call
+/// throws CheckError). Server memory per pending upload stays
+/// O(transmitted), never O(model).
+void decode_outcome_compact(const Strategy& strategy,
+                            const nn::ParameterStore& layout,
+                            ClientOutcome& out);
 
 /// Where an upload came from, for fault-path diagnostics: every rejection
 /// message names the client, its dispatch sequence number, and the virtual
@@ -195,29 +191,14 @@ struct DecodeStatus {
   explicit operator bool() const noexcept { return ok; }
 };
 
-/// Non-throwing variant of decode_outcome for fault-tolerant sessions: a
-/// malformed upload is a survivable transport event, not a programming
-/// error. When `framed` is set the payload must carry a valid CRC32C
-/// trailer (wire::seal_payload); the trailer is verified and stripped
-/// before the section decoder runs, and `out.uplink_bytes` charges the
-/// framed (on-the-wire) size. On failure `out` is left undecoded and the
-/// returned status carries the wire error wrapped with `ctx`.
-[[nodiscard]] DecodeStatus try_decode_outcome(const Strategy& strategy,
-                                              const nn::ParameterStore& layout,
-                                              ClientOutcome& out, bool framed,
-                                              const DecodeContext& ctx);
-
-/// Compact receive step: like decode_outcome but fills `out.compact`
-/// instead of the dense `values`/`present` pair, so server-side memory per
-/// pending upload is O(transmitted) rather than O(model). Same
-/// single-decode guard and uplink accounting.
-void decode_outcome_compact(const Strategy& strategy,
-                            const nn::ParameterStore& layout,
-                            ClientOutcome& out);
-
-/// Non-throwing compact receive step (fault-tolerant sessions); mirrors
-/// try_decode_outcome exactly — same frame stripping, same charged bytes,
-/// same context-wrapped rejection strings — but decodes into `out.compact`.
+/// Non-throwing receive step, run on every upload of a fault-tolerant
+/// session and on every upload the TCP server takes: a malformed upload is
+/// a survivable transport event, not a programming error. When `framed` is
+/// set the payload must carry a valid CRC32C trailer (wire::seal_payload);
+/// the trailer is verified and stripped before the section decoder runs,
+/// and `out.uplink_bytes` charges the framed (on-the-wire) size. On failure
+/// `out` is left undecoded and the returned status carries the wire error
+/// wrapped with `ctx`.
 [[nodiscard]] DecodeStatus try_decode_outcome_compact(
     const Strategy& strategy, const nn::ParameterStore& layout,
     ClientOutcome& out, bool framed, const DecodeContext& ctx);

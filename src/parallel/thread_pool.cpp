@@ -1,5 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <latch>
 
@@ -12,6 +14,19 @@ namespace {
 // loop on such threads: a worker blocking on a latch while the queue is full
 // of other latch-waiting tasks would deadlock the pool.
 thread_local bool is_pool_worker = false;
+
+// Pid of the process that built ThreadPool::global(); 0 until it is built.
+// A fork()ed child inherits the pool object but none of its workers, and
+// the pool's mutex may have been held at fork time, so a child must never
+// lock or enqueue on it.
+std::atomic<pid_t> global_pool_owner{0};
+
+/// True when the global pool belongs to another process (we are a fork of
+/// its owner), so parallel work has to stay on the calling thread.
+bool forked_from_global_pool_owner() {
+  const pid_t owner = global_pool_owner.load(std::memory_order_relaxed);
+  return owner != 0 && owner != ::getpid();
+}
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -87,12 +102,19 @@ void ThreadPool::for_each_range(
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
+  // Recorded once, by the process that builds the pool; a forked child
+  // inherits the record and so treats the pool as another process's.
+  [[maybe_unused]] static const bool owner_recorded = [] {
+    global_pool_owner.store(::getpid(), std::memory_order_relaxed);
+    return true;
+  }();
   return pool;
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   std::size_t grain) {
-  if (n * std::max<std::size_t>(grain, 1) < 2048 || is_pool_worker) {
+  if (n * std::max<std::size_t>(grain, 1) < 2048 || is_pool_worker ||
+      forked_from_global_pool_owner()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -103,7 +125,8 @@ void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn,
                   std::size_t grain) {
   if (n == 0) return;
-  if (n * std::max<std::size_t>(grain, 1) < 2048 || is_pool_worker) {
+  if (n * std::max<std::size_t>(grain, 1) < 2048 || is_pool_worker ||
+      forked_from_global_pool_owner()) {
     fn(0, n);
     return;
   }

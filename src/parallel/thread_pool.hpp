@@ -77,6 +77,9 @@ class ThreadPool {
 /// Convenience wrapper over the global pool. Falls back to a serial loop for
 /// small `n` where task overhead would dominate. `grain` is the estimated
 /// cost of one index in arbitrary units; `n * grain` decides serial vs pool.
+/// In a fork()ed child of the process that built the global pool the whole
+/// range runs inline on the calling thread: the child has no workers, and
+/// the inherited pool is never locked.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 1);
 

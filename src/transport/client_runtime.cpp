@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "tensor/ops.hpp"
+#include "wire/compact.hpp"
 
 namespace fedbiad::transport {
 
@@ -163,11 +164,13 @@ void ClientRuntime::handle_dispatch(const DispatchMsg& msg) {
 
 UploadMsg ClientRuntime::train(const DispatchMsg& msg) {
   // Decode the broadcast exactly as the engine snapshots it: dense f32 is
-  // lossless, so the local model starts bit-identical to the global.
+  // lossless and decodes to the kDense form, so `values` is the whole model
+  // and the local model starts bit-identical to the global.
   wire::Payload broadcast;
   broadcast.kind = wire::PayloadKind::kDenseF32;
   broadcast.bytes = msg.broadcast;
-  wire::Decoded decoded = wire::decode_update(model_->store(), broadcast);
+  const wire::CompactUpdate decoded =
+      wire::decode_update_compact(model_->store(), broadcast);
   tensor::copy(decoded.values, model_->store().params());
 
   // The engine's client rng chain, reproduced remotely: the stream id

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <string>
-#include <utility>
 
 #include "common/check.hpp"
 #include "wire/accounting.hpp"
@@ -15,14 +14,8 @@ namespace {
 
 constexpr std::size_t kWordBits = Bitset::kWordBits;
 
-void check_position_bits(std::size_t position_bits) {
-  FEDBIAD_CHECK(position_bits == 16 || position_bits == 32 ||
-                    position_bits == 64,
-                "position width must be 16, 32, or 64 bits");
-}
-
-/// Candidate iteration for the dense-over-candidates kinds, identical to the
-/// one decode_update uses: `fn(i)` per candidate coordinate, ascending.
+/// Candidate iteration for the dense-over-candidates kinds: `fn(i)` per
+/// candidate coordinate, ascending.
 template <typename Fn>
 void for_each_candidate(std::size_t n, const Bitset* candidates, Fn&& fn) {
   if (candidates == nullptr) {
@@ -36,6 +29,23 @@ void for_each_candidate(std::size_t n, const Bitset* candidates, Fn&& fn) {
 
 std::size_t candidate_total(std::size_t n, const Bitset* candidates) {
   return candidates == nullptr ? n : candidates->count();
+}
+
+/// Reads `k` delta-varint positions (the first absolute, each later one as
+/// its gap − 1 to the previous) and hands each to `fn`. A gap that would
+/// take the position to or past `limit` is rejected before the add, so a
+/// crafted gap near 2^64 cannot wrap a position back below its predecessor.
+template <typename Fn>
+void read_delta_positions(Reader& r, std::uint64_t k, std::uint64_t limit,
+                          const char* out_of_range, Fn&& fn) {
+  std::uint64_t next = 0;  // smallest position the next entry may take
+  for (std::uint64_t i = 0; i < k; ++i) {
+    const std::uint64_t gap = r.varint();
+    if (gap >= limit - next) throw DecodeError(out_of_range);
+    next += gap;
+    fn(next);
+    ++next;
+  }
 }
 
 CompactUpdate decode_dense(const nn::ParameterStore& layout, Reader& r) {
@@ -126,15 +136,11 @@ CompactUpdate decode_sparse_varint(const nn::ParameterStore& layout,
   CompactUpdate u;
   u.form = CompactUpdate::Form::kSparse;
   u.coords = layout.size();
-  u.indices.resize(k);
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < k; ++i) {
-    const std::uint64_t gap = r.varint();
-    const std::uint64_t idx = i == 0 ? gap : prev + gap + 1;
-    if (idx >= layout.size()) throw DecodeError("sparse index out of range");
-    u.indices[i] = static_cast<std::uint32_t>(idx);
-    prev = idx;
-  }
+  u.indices.reserve(k);
+  read_delta_positions(r, k, layout.size(), "sparse index out of range",
+                       [&](std::uint64_t idx) {
+                         u.indices.push_back(static_cast<std::uint32_t>(idx));
+                       });
   u.values.resize(k);
   r.f32_run(u.values);
   r.expect_done();
@@ -252,14 +258,9 @@ CompactUpdate decode_pruned(const nn::ParameterStore& layout, Reader& r,
   } else {
     const std::uint64_t k = r.varint();
     if (k > prunable) throw DecodeError("pruned entry count exceeds model");
-    std::uint64_t prev = 0;
-    for (std::uint64_t i = 0; i < k; ++i) {
-      const std::uint64_t gap = r.varint();
-      const std::uint64_t idx = i == 0 ? gap : prev + gap + 1;
-      if (idx >= prunable) throw DecodeError("pruned index out of range");
-      kept.set(static_cast<std::size_t>(idx));
-      prev = idx;
-    }
+    read_delta_positions(
+        r, k, prunable, "pruned index out of range",
+        [&](std::uint64_t idx) { kept.set(static_cast<std::size_t>(idx)); });
   }
   // Wire value order is kept-prunable first, then the fixed groups — NOT
   // ascending coordinate order when droppable and fixed groups interleave.
@@ -414,28 +415,6 @@ Decoded expand(const CompactUpdate& update) {
       break;
   }
   return d;
-}
-
-CompactUpdate compact_from_decoded(Decoded decoded) {
-  const std::size_t n = decoded.values.size();
-  FEDBIAD_CHECK(decoded.present.size() == n,
-                "decoded update values/present size mismatch");
-  CompactUpdate u;
-  u.coords = n;
-  const std::size_t count = decoded.present.count();
-  if (count == n) {
-    u.form = CompactUpdate::Form::kDense;
-    u.values = std::move(decoded.values);
-    return u;
-  }
-  u.form = CompactUpdate::Form::kBitmap;
-  u.values.reserve(count);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (decoded.present.test(i)) u.values.push_back(decoded.values[i]);
-  }
-  u.present = std::move(decoded.present);
-  u.build_rank_directory();
-  return u;
 }
 
 }  // namespace fedbiad::wire

@@ -8,9 +8,9 @@
 // and the measured size equals the paper's accounting exactly (see
 // wire/accounting.hpp). Given the model layout the server already holds (it
 // broadcast the model), every section is self-framing: lengths are either
-// derived from the layout or carried as explicit varint counts, and every
-// decoder is bounds-checked end to end, rejecting truncated or corrupted
-// buffers with wire::DecodeError.
+// derived from the layout or carried as explicit varint counts. The one
+// decoder, wire::decode_update_compact (compact.hpp), is bounds-checked end
+// to end and rejects truncated or corrupted buffers with wire::DecodeError.
 //
 // Section formats (all little-endian; bit runs LSB-first):
 //   kDenseF32      f32[n]                                  (n from layout)
@@ -30,8 +30,8 @@
 //                  f32 kept prunable ∥ f32 non-droppable
 //   kSubModel      f64 width ratio ∥ f32 surviving weights — the mask is
 //                  rebuilt from the ratio by the strategy's WidthPlan, so
-//                  decoding routes through Strategy::decode_payload (see
-//                  baselines/unit_mask.hpp)
+//                  decoding routes through Strategy::decode_payload_compact
+//                  (see baselines/unit_mask.hpp)
 #pragma once
 
 #include <cstdint>
@@ -71,8 +71,9 @@ struct Payload {
   [[nodiscard]] bool empty() const noexcept { return bytes.empty(); }
 };
 
-/// A payload decoded against a model layout: the dense value vector (absent
-/// coordinates zeroed) and the 1-bit-per-coordinate presence set.
+/// The dense view of a decoded payload: the value vector (absent
+/// coordinates zeroed) and the 1-bit-per-coordinate presence set. Built
+/// only by wire::expand (compact.hpp); the server itself never holds it.
 struct Decoded {
   std::vector<float> values;
   Bitset present;
@@ -99,6 +100,10 @@ void seal_payload(Payload& payload);
 void strip_seal(Payload& payload);
 
 // --- encoders (client side) ---
+
+/// Throws CheckError unless `position_bits` is a supported fixed position
+/// width (16, 32 or 64) for kSparseFixed / kTernary.
+void check_position_bits(std::size_t position_bits);
 
 [[nodiscard]] Payload encode_dense_f32(std::span<const float> values);
 
@@ -140,15 +145,7 @@ void strip_seal(Payload& payload);
                                     std::span<const std::uint8_t> coord_mask,
                                     std::span<const float> values);
 
-// --- decoder (server side, engine thread) ---
-
-/// Decodes a payload against `layout`. `candidates` narrows the coordinate
-/// set for the dense-over-candidates kinds (kSignMean/kInt8Dense) — pass
-/// nullptr when every coordinate is a candidate. kSubModel is not handled
-/// here (it needs the strategy's WidthPlan; see Strategy::decode_payload).
-[[nodiscard]] Decoded decode_update(const nn::ParameterStore& layout,
-                                    const Payload& payload,
-                                    const Bitset* candidates = nullptr);
+// --- row pattern (server side) ---
 
 /// Expands a packed row pattern β (as transmitted, ceil(J/8) bytes) into the
 /// coordinate-level presence set: non-droppable coordinates and every

@@ -19,6 +19,7 @@
 #include "data/text_synth.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace fedbiad::baselines {
 namespace {
@@ -26,10 +27,8 @@ namespace {
 /// Runs one client and then performs the server-side decode step exactly as
 /// the engines do on upload arrival, so tests can inspect the dense view.
 template <typename Strat>
-fl::ClientOutcome run_decoded(Strat& strat, fl::ClientContext& ctx) {
-  auto out = strat.run_client(ctx);
-  fl::decode_outcome(strat, ctx.model.store(), out);
-  return out;
+oracle::DenseOutcome run_decoded(Strat& strat, fl::ClientContext& ctx) {
+  return oracle::decode_dense(strat, ctx.model.store(), strat.run_client(ctx));
 }
 
 struct ImageHarness {

@@ -2,41 +2,62 @@
 // the network model, and the simulation loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "baselines/fedavg.hpp"
 #include "common/check.hpp"
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/client_state.hpp"
 #include "fl/metrics.hpp"
 #include "fl/simulation.hpp"
 #include "netsim/link.hpp"
 #include "netsim/tta.hpp"
 #include "nn/mlp_model.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace fedbiad::fl {
 namespace {
 
-ClientOutcome make_outcome(std::vector<float> values,
-                           std::vector<std::uint8_t> present,
-                           std::size_t samples, bool is_update = false) {
-  ClientOutcome o;
-  o.values = std::move(values);
-  o.present = wire::Bitset::from_bytemask(present);
-  o.samples = samples;
-  o.is_update = is_update;
-  return o;
+using oracle::DenseOutcome;
+
+DenseOutcome make_outcome(std::vector<float> values,
+                          std::vector<std::uint8_t> present,
+                          std::size_t samples, bool is_update = false) {
+  return oracle::make_dense(std::move(values),
+                            wire::Bitset::from_bytemask(present), samples,
+                            is_update);
+}
+
+/// Commits `outs` into `global` through the library's fused committer and
+/// demands that the dense eq. 10 oracle land on the same bits. Rejections
+/// surface from the committer itself.
+void checked_commit(std::span<float> global,
+                    std::span<const DenseOutcome> outs, AggregationRule rule) {
+  std::vector<float> committed(global.begin(), global.end());
+  oracle::commit(committed, outs, rule);
+  std::vector<float> expected(global.begin(), global.end());
+  oracle::aggregate(expected, outs, rule);
+  for (std::size_t i = 0; i < committed.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(committed[i]),
+              std::bit_cast<std::uint32_t>(expected[i]))
+        << "coordinate " << i;
+  }
+  std::copy(committed.begin(), committed.end(), global.begin());
 }
 
 TEST(Aggregate, WeightedMeanWhenAllPresent) {
   std::vector<float> global{0.0F, 0.0F};
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   outs.push_back(make_outcome({1.0F, 2.0F}, {1, 1}, 1));
   outs.push_back(make_outcome({3.0F, 6.0F}, {1, 1}, 3));
-  aggregate(global, outs, AggregationRule::kPerCoordinateNormalized);
+  checked_commit(global, outs, AggregationRule::kPerCoordinateNormalized);
   EXPECT_FLOAT_EQ(global[0], (1.0F + 9.0F) / 4.0F);
   EXPECT_FLOAT_EQ(global[1], (2.0F + 18.0F) / 4.0F);
 }
@@ -44,77 +65,77 @@ TEST(Aggregate, WeightedMeanWhenAllPresent) {
 TEST(Aggregate, RulesAgreeWhenNothingIsDropped) {
   std::vector<float> a{5.0F, 5.0F};
   std::vector<float> b{5.0F, 5.0F};
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   outs.push_back(make_outcome({2.0F, 4.0F}, {1, 1}, 2));
   outs.push_back(make_outcome({4.0F, 8.0F}, {1, 1}, 2));
-  aggregate(a, outs, AggregationRule::kMaskedAverage);
-  aggregate(b, outs, AggregationRule::kPerCoordinateNormalized);
+  checked_commit(a, outs, AggregationRule::kMaskedAverage);
+  checked_commit(b, outs, AggregationRule::kPerCoordinateNormalized);
   EXPECT_EQ(a, b);
 }
 
 TEST(Aggregate, MaskedAverageCountsZeros) {
   // Literal eq. 10: the dropped client contributes a zero, shrinking the row.
   std::vector<float> global{0.0F};
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   outs.push_back(make_outcome({4.0F}, {1}, 1));
   outs.push_back(make_outcome({0.0F}, {0}, 1));
-  aggregate(global, outs, AggregationRule::kMaskedAverage);
+  checked_commit(global, outs, AggregationRule::kMaskedAverage);
   EXPECT_FLOAT_EQ(global[0], 2.0F);
 }
 
 TEST(Aggregate, NormalizedAveragesOverTransmitters) {
   std::vector<float> global{0.0F};
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   outs.push_back(make_outcome({4.0F}, {1}, 1));
   outs.push_back(make_outcome({0.0F}, {0}, 1));
-  aggregate(global, outs, AggregationRule::kPerCoordinateNormalized);
+  checked_commit(global, outs, AggregationRule::kPerCoordinateNormalized);
   EXPECT_FLOAT_EQ(global[0], 4.0F);
 }
 
 TEST(Aggregate, NormalizedKeepsOldValueWhenNobodyTransmits) {
   std::vector<float> global{7.0F};
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   outs.push_back(make_outcome({0.0F}, {0}, 1));
-  aggregate(global, outs, AggregationRule::kPerCoordinateNormalized);
+  checked_commit(global, outs, AggregationRule::kPerCoordinateNormalized);
   EXPECT_FLOAT_EQ(global[0], 7.0F);
 }
 
 TEST(Aggregate, UpdateOutcomesAddToGlobal) {
   std::vector<float> global{10.0F, 10.0F};
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   outs.push_back(make_outcome({1.0F, 0.0F}, {1, 0}, 1, true));
   outs.push_back(make_outcome({3.0F, 0.0F}, {1, 0}, 1, true));
-  aggregate(global, outs, AggregationRule::kPerCoordinateNormalized);
+  checked_commit(global, outs, AggregationRule::kPerCoordinateNormalized);
   EXPECT_FLOAT_EQ(global[0], 12.0F);
   EXPECT_FLOAT_EQ(global[1], 10.0F);  // nobody updated coordinate 1
 }
 
 TEST(Aggregate, SampleWeightingMattersForUpdates) {
   std::vector<float> global{0.0F};
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   outs.push_back(make_outcome({3.0F}, {1}, 9, true));
   outs.push_back(make_outcome({0.0F}, {1}, 1, true));
-  aggregate(global, outs, AggregationRule::kPerCoordinateNormalized);
+  checked_commit(global, outs, AggregationRule::kPerCoordinateNormalized);
   EXPECT_FLOAT_EQ(global[0], 2.7F);
 }
 
 TEST(Aggregate, RejectsMixedOutcomeTypes) {
   std::vector<float> global{0.0F};
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   outs.push_back(make_outcome({1.0F}, {1}, 1, false));
   outs.push_back(make_outcome({1.0F}, {1}, 1, true));
-  EXPECT_THROW(aggregate(global, outs, AggregationRule::kMaskedAverage),
+  EXPECT_THROW(checked_commit(global, outs, AggregationRule::kMaskedAverage),
                fedbiad::CheckError);
 }
 
 TEST(Aggregate, RejectsEmptyAndMismatched) {
   std::vector<float> global{0.0F};
-  std::vector<ClientOutcome> empty;
-  EXPECT_THROW(aggregate(global, empty, AggregationRule::kMaskedAverage),
+  std::vector<DenseOutcome> empty;
+  EXPECT_THROW(checked_commit(global, empty, AggregationRule::kMaskedAverage),
                fedbiad::CheckError);
-  std::vector<ClientOutcome> bad;
+  std::vector<DenseOutcome> bad;
   bad.push_back(make_outcome({1.0F, 2.0F}, {1, 1}, 1));
-  EXPECT_THROW(aggregate(global, bad, AggregationRule::kMaskedAverage),
+  EXPECT_THROW(checked_commit(global, bad, AggregationRule::kMaskedAverage),
                fedbiad::CheckError);
 }
 
@@ -124,57 +145,58 @@ TEST(Aggregate, SingleClientParamsReplaceGlobal) {
   for (const auto rule : {AggregationRule::kMaskedAverage,
                           AggregationRule::kPerCoordinateNormalized}) {
     std::vector<float> global{9.0F, 9.0F, 9.0F};
-    std::vector<ClientOutcome> outs;
+    std::vector<DenseOutcome> outs;
     outs.push_back(make_outcome({1.0F, 2.0F, 3.0F}, {1, 1, 1}, 5));
-    aggregate(global, outs, rule);
+    checked_commit(global, outs, rule);
     EXPECT_EQ(global, (std::vector<float>{1.0F, 2.0F, 3.0F}));
   }
 }
 
 TEST(Aggregate, SingleClientUpdateAddsItsDelta) {
   std::vector<float> global{1.0F, 1.0F};
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   outs.push_back(make_outcome({0.5F, 0.0F}, {1, 0}, 3, true));
-  aggregate(global, outs, AggregationRule::kPerCoordinateNormalized);
+  checked_commit(global, outs, AggregationRule::kPerCoordinateNormalized);
   EXPECT_FLOAT_EQ(global[0], 1.5F);
   EXPECT_FLOAT_EQ(global[1], 1.0F);
 }
 
 TEST(Aggregate, RejectsZeroWeightClient) {
   std::vector<float> global{0.0F};
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   outs.push_back(make_outcome({1.0F}, {1}, 1));
   outs.push_back(make_outcome({2.0F}, {1}, 0));  // |D_k| = 0
-  EXPECT_THROW(aggregate(global, outs, AggregationRule::kMaskedAverage),
+  EXPECT_THROW(checked_commit(global, outs, AggregationRule::kMaskedAverage),
                fedbiad::CheckError);
   EXPECT_THROW(
-      aggregate(global, outs, AggregationRule::kPerCoordinateNormalized),
+      checked_commit(global, outs, AggregationRule::kPerCoordinateNormalized),
       fedbiad::CheckError);
 }
 
 TEST(Aggregate, RejectsRaggedParameterSizes) {
   std::vector<float> global{0.0F, 0.0F};
   // Client vector longer than the global.
-  std::vector<ClientOutcome> longer;
+  std::vector<DenseOutcome> longer;
   longer.push_back(make_outcome({1.0F, 2.0F, 3.0F}, {1, 1, 1}, 1));
-  EXPECT_THROW(aggregate(global, longer, AggregationRule::kMaskedAverage),
+  EXPECT_THROW(checked_commit(global, longer, AggregationRule::kMaskedAverage),
                fedbiad::CheckError);
   // Shorter than the global.
-  std::vector<ClientOutcome> shorter;
+  std::vector<DenseOutcome> shorter;
   shorter.push_back(make_outcome({1.0F}, {1}, 1));
-  EXPECT_THROW(aggregate(global, shorter, AggregationRule::kMaskedAverage),
+  EXPECT_THROW(checked_commit(global, shorter, AggregationRule::kMaskedAverage),
                fedbiad::CheckError);
   // values/present disagreeing with each other.
-  std::vector<ClientOutcome> mask_ragged;
+  std::vector<DenseOutcome> mask_ragged;
   mask_ragged.push_back(make_outcome({1.0F, 2.0F}, {1}, 1));
   EXPECT_THROW(
-      aggregate(global, mask_ragged, AggregationRule::kPerCoordinateNormalized),
+      checked_commit(global, mask_ragged,
+                     AggregationRule::kPerCoordinateNormalized),
       fedbiad::CheckError);
   // One well-formed client must not mask a ragged co-participant.
-  std::vector<ClientOutcome> mixed;
+  std::vector<DenseOutcome> mixed;
   mixed.push_back(make_outcome({1.0F, 2.0F}, {1, 1}, 1));
   mixed.push_back(make_outcome({1.0F}, {1}, 1));
-  EXPECT_THROW(aggregate(global, mixed, AggregationRule::kMaskedAverage),
+  EXPECT_THROW(checked_commit(global, mixed, AggregationRule::kMaskedAverage),
                fedbiad::CheckError);
 }
 
@@ -187,7 +209,7 @@ TEST(Aggregate, MatchesScalarReferenceAcrossBlockBoundaries) {
     global[i] = static_cast<float>(i % 7) - 3.0F;
   }
   std::vector<float> reference = global;
-  std::vector<ClientOutcome> outs;
+  std::vector<DenseOutcome> outs;
   for (std::size_t k = 0; k < 3; ++k) {
     std::vector<float> values(n);
     std::vector<std::uint8_t> present(n);
@@ -197,11 +219,11 @@ TEST(Aggregate, MatchesScalarReferenceAcrossBlockBoundaries) {
     }
     outs.push_back(make_outcome(std::move(values), std::move(present), k + 1));
   }
-  aggregate(global, outs, AggregationRule::kPerCoordinateNormalized);
+  checked_commit(global, outs, AggregationRule::kPerCoordinateNormalized);
   for (std::size_t i = 0; i < n; ++i) {
     double acc = 0.0;
     double weight = 0.0;
-    for (const ClientOutcome& o : outs) {
+    for (const DenseOutcome& o : outs) {
       if (o.present[i] == 0) continue;
       acc += static_cast<double>(o.samples) * o.values[i];
       weight += static_cast<double>(o.samples);

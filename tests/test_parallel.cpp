@@ -1,9 +1,12 @@
 // Unit tests for the thread pool, parallel_for, and the OrderedResults
 // ticketed completion queue behind the transport decode pipeline.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -126,6 +129,35 @@ TEST(ParallelForRange, ChunksPartitionTheRange) {
       },
       64);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1);
+}
+
+// A fork()ed child inherits the global pool object but none of its worker
+// threads. parallel_for there must run the range inline instead of queuing
+// on the inherited pool and waiting forever for workers that do not exist.
+TEST(ParallelFor, ForkedChildRunsInlineOnTheInheritedPool) {
+  constexpr std::size_t kN = 1 << 16;  // far above the serial grain
+  auto sum_of_indices = [] {
+    std::atomic<std::uint64_t> sum{0};
+    parallel_for(kN, [&](std::size_t begin, std::size_t end) {
+      std::uint64_t local = 0;
+      for (std::size_t i = begin; i < end; ++i) local += i;
+      sum.fetch_add(local);
+    });
+    return sum.load();
+  };
+  constexpr std::uint64_t kExpected = std::uint64_t{kN} * (kN - 1) / 2;
+  ASSERT_EQ(sum_of_indices(), kExpected);  // starts the global pool
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::alarm(10);  // a hang dies by SIGALRM instead of stalling the suite
+    ::_exit(sum_of_indices() == kExpected ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died by signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(ParallelForRange, SmallAndNestedRunOnCaller) {

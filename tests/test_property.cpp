@@ -23,13 +23,13 @@
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
 #include "data/text_synth.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/simulation.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "nn/conv_model.hpp"
 #include "nn/mlp_model.hpp"
 #include "nn/rnn_lm_model.hpp"
 #include "nn/optimizer.hpp"
+#include "support/dense_oracle.hpp"
 #include "tensor/ops.hpp"
 #include "wire/accounting.hpp"
 #include "wire/reader.hpp"
@@ -41,10 +41,14 @@ namespace {
 /// Runs one client and then performs the server-side decode step exactly as
 /// the engines do on upload arrival, so tests can inspect the dense view.
 template <typename Strat>
-fl::ClientOutcome run_decoded(Strat& strat, fl::ClientContext& ctx) {
-  auto out = strat.run_client(ctx);
-  fl::decode_outcome(strat, ctx.model.store(), out);
-  return out;
+oracle::DenseOutcome run_decoded(Strat& strat, fl::ClientContext& ctx) {
+  return oracle::decode_dense(strat, ctx.model.store(), strat.run_client(ctx));
+}
+
+/// The dense view of the library's one update decoder.
+wire::Decoded decode_dense(const nn::ParameterStore& store,
+                           const wire::Payload& payload) {
+  return wire::expand(wire::decode_update_compact(store, payload));
 }
 
 // Presence mask and upload accounting must agree: bytes = 4·(#present
@@ -77,7 +81,7 @@ TEST(AggregateProperty, SingleClientIsIdentityOnPresentCoords) {
   std::vector<float> global(64);
   for (auto& g : global) g = static_cast<float>(rng.normal(0, 1));
   const auto before = global;
-  fl::ClientOutcome o;
+  oracle::DenseOutcome o;
   o.samples = 3;
   o.values.resize(64);
   o.present = wire::Bitset(64);
@@ -85,8 +89,8 @@ TEST(AggregateProperty, SingleClientIsIdentityOnPresentCoords) {
     o.values[i] = static_cast<float>(rng.normal(0, 1));
     o.present.set(i, rng.bernoulli(0.5));
   }
-  std::vector<fl::ClientOutcome> outs{o};
-  fl::aggregate(global, outs, fl::AggregationRule::kPerCoordinateNormalized);
+  std::vector<oracle::DenseOutcome> outs{o};
+  oracle::commit(global, outs, fl::AggregationRule::kPerCoordinateNormalized);
   for (std::size_t i = 0; i < 64; ++i) {
     if (o.present[i]) {
       EXPECT_FLOAT_EQ(global[i], o.values[i]);
@@ -101,7 +105,7 @@ TEST(AggregateProperty, MaskedAverageEqualsManualEquationTen) {
   tensor::Rng rng(7);
   const std::size_t n = 40;
   std::vector<float> global(n, 0.0F);
-  std::vector<fl::ClientOutcome> outs(3);
+  std::vector<oracle::DenseOutcome> outs(3);
   double total_w = 0.0;
   for (std::size_t k = 0; k < outs.size(); ++k) {
     outs[k].samples = k + 1;
@@ -114,7 +118,7 @@ TEST(AggregateProperty, MaskedAverageEqualsManualEquationTen) {
           outs[k].present[i] ? static_cast<float>(rng.normal(0, 1)) : 0.0F;
     }
   }
-  fl::aggregate(global, outs, fl::AggregationRule::kMaskedAverage);
+  oracle::commit(global, outs, fl::AggregationRule::kMaskedAverage);
   for (std::size_t i = 0; i < n; ++i) {
     double acc = 0.0;
     for (const auto& o : outs) {
@@ -160,8 +164,8 @@ TEST(FedBiadProperty, DroppedUnitWeightsNeverTrain) {
   // aggregation of this single client the global keeps its previous values
   // there bit for bit — the wire-level form of "dropped rows never train".
   std::vector<float> aggregated = global;
-  fl::aggregate(aggregated, std::vector<fl::ClientOutcome>{out},
-                fl::AggregationRule::kPerCoordinateNormalized);
+  oracle::commit(aggregated, std::vector<oracle::DenseOutcome>{out},
+                 fl::AggregationRule::kPerCoordinateNormalized);
   bool any_dropped = false;
   for (std::size_t j = 0; j < store.droppable_rows(); ++j) {
     const auto ref = store.droppable_row(j);
@@ -629,7 +633,7 @@ TEST(WireCodec, RowMaskedRoundTripHostileValuesAndEdgePatterns) {
   for (std::size_t j = 0; j < J; j += 2) ragged[j] = 1;
   for (const auto& row_kept : {all_kept, all_dropped, ragged}) {
     const auto payload = wire::encode_row_masked(store, row_kept, values);
-    const auto decoded = wire::decode_update(store, payload);
+    const auto decoded = decode_dense(store, payload);
     // Measured == the analytic §IV-B oracle via the shared helper.
     std::uint64_t kept_weights = 0;
     for (std::size_t i = 0; i < store.size(); ++i) {
@@ -655,7 +659,7 @@ TEST(WireCodec, DenseAndSparseRoundTripsIncludingEmpty) {
   {
     const auto payload = wire::encode_dense_f32(values);
     EXPECT_EQ(payload.size(), wire::dense_f32_bytes(n));
-    const auto decoded = wire::decode_update(store, payload);
+    const auto decoded = decode_dense(store, payload);
     expect_bit_identical(decoded.values, values);
     EXPECT_EQ(decoded.present.count(), n);
   }
@@ -676,7 +680,7 @@ TEST(WireCodec, DenseAndSparseRoundTripsIncludingEmpty) {
                 fixed ? wire::sparse_fixed_bytes(indices.size(), 64)
                       : wire::sparse_varint_bytes(
                             std::span<const std::uint32_t>(indices)));
-      const auto decoded = wire::decode_update(store, payload);
+      const auto decoded = decode_dense(store, payload);
       EXPECT_EQ(decoded.present.count(), indices.size());
       for (std::size_t k = 0; k < indices.size(); ++k) {
         ASSERT_TRUE(decoded.present.test(indices[k]));
@@ -699,25 +703,25 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
   for (const std::size_t cut : {std::size_t{1}, base.bytes.size() / 2}) {
     wire::Payload truncated = base;
     truncated.bytes.resize(base.bytes.size() - cut);
-    EXPECT_THROW(wire::decode_update(store, truncated), wire::DecodeError);
+    EXPECT_THROW(decode_dense(store, truncated), wire::DecodeError);
   }
   wire::Payload extended = base;
   extended.bytes.push_back(0);
-  EXPECT_THROW(wire::decode_update(store, extended), wire::DecodeError);
+  EXPECT_THROW(decode_dense(store, extended), wire::DecodeError);
 
   // Nonzero padding bits in the packed row pattern.
   wire::Payload padded = base;
   const std::size_t pattern_bytes = (J + 7) / 8;
   if (J % 8 != 0) {
     padded.bytes[pattern_bytes - 1] |= std::uint8_t{1} << (J % 8);
-    EXPECT_THROW(wire::decode_update(store, padded), wire::DecodeError);
+    EXPECT_THROW(decode_dense(store, padded), wire::DecodeError);
   }
 
   // A corrupted pattern byte changes the kept count, so the value section
   // length no longer matches and decode must reject rather than misread.
   wire::Payload flipped = base;
   flipped.bytes[0] ^= 0x01;
-  EXPECT_THROW(wire::decode_update(store, flipped), wire::DecodeError);
+  EXPECT_THROW(decode_dense(store, flipped), wire::DecodeError);
 
   // Sparse: out-of-range and unsorted indices.
   {
@@ -725,7 +729,7 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
         static_cast<std::uint32_t>(store.size())};
     const std::vector<float> v{1.0F};
     auto payload = wire::encode_sparse_fixed(bad_idx, v, 64);
-    EXPECT_THROW(wire::decode_update(store, payload), wire::DecodeError);
+    EXPECT_THROW(decode_dense(store, payload), wire::DecodeError);
   }
   {
     std::vector<std::uint32_t> idx{3, 1};
@@ -738,7 +742,7 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
     wire::Payload unsorted{.kind = wire::PayloadKind::kSparseFixed,
                            .aux = 64,
                            .bytes = std::move(w).take()};
-    EXPECT_THROW(wire::decode_update(store, unsorted), wire::DecodeError);
+    EXPECT_THROW(decode_dense(store, unsorted), wire::DecodeError);
   }
   // Sparse-varint whose declared count exceeds the model.
   {
@@ -747,14 +751,14 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
     wire::Payload bogus{.kind = wire::PayloadKind::kSparseVarint,
                         .aux = 0,
                         .bytes = std::move(w).take()};
-    EXPECT_THROW(wire::decode_update(store, bogus), wire::DecodeError);
+    EXPECT_THROW(decode_dense(store, bogus), wire::DecodeError);
   }
   // Ternary whose body is not a whole number of 65-bit entries.
   {
     wire::Payload bogus{.kind = wire::PayloadKind::kTernary,
                         .aux = 64,
                         .bytes = std::vector<std::uint8_t>(7, 0)};
-    EXPECT_THROW(wire::decode_update(store, bogus), wire::DecodeError);
+    EXPECT_THROW(decode_dense(store, bogus), wire::DecodeError);
   }
   // Sub-model with an out-of-range (or NaN) ratio.
   {

@@ -1,12 +1,13 @@
 // Population-scale regression suite: the properties that let the engine
 // run 1M registered clients with ~10k in flight.
 //
-//   * decode_update_compact mirrors decode_update kind for kind — expand()
-//     of the compact view is bit-identical to the dense decode, and both
-//     paths reject the same malformed buffers with the same message.
-//   * ShardedAccumulator::aggregate/merge reproduce the dense kernels
-//     (fl::aggregate and the coordinate-outer staleness merge) bit for bit
-//     over mixed compact forms spanning multiple accumulator blocks.
+//   * decode_update_compact, kind for kind: expand() of the compact view is
+//     bit-identical to what the encoder was handed, and malformed buffers
+//     are rejected with stable messages.
+//   * ShardedAccumulator::aggregate/merge reproduce the dense test oracles
+//     (tests/support/dense_oracle.hpp and the coordinate-outer staleness
+//     merge) bit for bit over mixed compact forms spanning multiple
+//     accumulator blocks.
 //   * ClientRegistry: lazy profiles equal make_profiles exactly (random
 //     access, repeats, backward jumps, homogeneous fast path); the
 //     ClientState pool hands out value-fresh records and its high-water
@@ -26,14 +27,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/fedavg.hpp"
 #include "checkpoint/checkpoint.hpp"
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/async_simulation.hpp"
 #include "fl/client_registry.hpp"
 #include "fl/fused_aggregate.hpp"
@@ -43,6 +45,7 @@
 #include "nn/parameter_store.hpp"
 #include "scenario/config.hpp"
 #include "scenario/model.hpp"
+#include "support/dense_oracle.hpp"
 #include "tensor/rng.hpp"
 #include "wire/bitset.hpp"
 #include "wire/compact.hpp"
@@ -101,37 +104,74 @@ std::vector<float> hostile_values(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Decodes `payload` both ways and demands the compact view expand to the
-/// dense decode exactly: same presence set, bit-identical floats. The
-/// compact form lands in *out (when given) for form assertions.
-void expect_compact_matches_dense(const nn::ParameterStore& store,
-                                  const wire::Payload& payload,
-                                  const wire::Bitset* candidates = nullptr,
-                                  wire::CompactUpdate* out = nullptr) {
-  const wire::Decoded dense = wire::decode_update(store, payload, candidates);
+/// An all-absent dense view of `n` coordinates, to be filled with what the
+/// encoder was handed.
+wire::Decoded empty_view(std::size_t n) {
+  return {std::vector<float>(n, 0.0F), wire::Bitset(n)};
+}
+
+/// `values` at every coordinate `mask` keeps, absent elsewhere.
+wire::Decoded masked_view(std::span<const float> values,
+                          std::span<const std::uint8_t> mask) {
+  wire::Decoded d = empty_view(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (mask[i] == 0) continue;
+    d.values[i] = values[i];
+    d.present.set(i);
+  }
+  return d;
+}
+
+/// Coordinate mask of a row pattern: every non-droppable coordinate and
+/// every coordinate of a kept row.
+std::vector<std::uint8_t> row_coord_mask(const nn::ParameterStore& store,
+                                         std::span<const std::uint8_t> kept) {
+  std::vector<std::uint8_t> mask(store.size(), 0);
+  for (std::size_t g = 0; g < store.groups().size(); ++g) {
+    const nn::RowGroup& grp = store.group(g);
+    for (std::size_t r = 0; r < grp.rows; ++r) {
+      if (grp.droppable && kept[store.droppable_index(g, r)] == 0) continue;
+      std::fill_n(mask.begin() + static_cast<std::ptrdiff_t>(
+                                     grp.offset + r * grp.row_len),
+                  grp.row_len, std::uint8_t{1});
+    }
+  }
+  return mask;
+}
+
+/// Decodes `payload` through the library's one update decoder and demands
+/// that the dense view of the result equal `expected` — built from the
+/// encoder's own inputs — exactly: same presence set, bit-identical floats.
+/// The compact form lands in *out (when given) for form assertions.
+void expect_decodes_to(const nn::ParameterStore& store,
+                       const wire::Payload& payload,
+                       const wire::Decoded& expected,
+                       const wire::Bitset* candidates = nullptr,
+                       wire::CompactUpdate* out = nullptr) {
   wire::CompactUpdate compact =
       wire::decode_update_compact(store, payload, candidates);
   EXPECT_EQ(compact.size(), store.size());
   const wire::Decoded expanded = wire::expand(compact);
-  EXPECT_EQ(expanded.present, dense.present);
-  EXPECT_EQ(compact.transmitted(), dense.present.count());
-  EXPECT_EQ(expanded.values.size(), dense.values.size());
-  for (std::size_t i = 0; i < dense.values.size(); ++i) {
+  EXPECT_EQ(expanded.present, expected.present);
+  EXPECT_EQ(compact.transmitted(), expected.present.count());
+  ASSERT_EQ(expanded.values.size(), expected.values.size());
+  for (std::size_t i = 0; i < expected.values.size(); ++i) {
     ASSERT_EQ(std::bit_cast<std::uint32_t>(expanded.values[i]),
-              std::bit_cast<std::uint32_t>(dense.values[i]))
+              std::bit_cast<std::uint32_t>(expected.values[i]))
         << "coordinate " << i;
   }
   if (out != nullptr) *out = std::move(compact);
 }
 
-// --- compact decode == dense decode, per payload kind ----------------------
+// --- compact decode == the encoder's inputs, per payload kind --------------
 
 TEST(CompactDecode, DenseF32) {
   const auto store = ragged_store();
   const auto values = hostile_values(store.size(), 301);
+  const std::vector<std::uint8_t> all(store.size(), 1);
   wire::CompactUpdate compact;
-  expect_compact_matches_dense(store, wire::encode_dense_f32(values), nullptr,
-                               &compact);
+  expect_decodes_to(store, wire::encode_dense_f32(values),
+                    masked_view(values, all), nullptr, &compact);
   EXPECT_EQ(compact.form, wire::CompactUpdate::Form::kDense);
 }
 
@@ -144,8 +184,8 @@ TEST(CompactDecode, RowMaskedAllPatterns) {
   std::vector<std::uint8_t> ragged(J, 0);
   for (std::size_t j = 0; j < J; j += 2) ragged[j] = 1;
   for (const auto& kept : {all_kept, all_dropped, ragged}) {
-    expect_compact_matches_dense(store,
-                                 wire::encode_row_masked(store, kept, values));
+    expect_decodes_to(store, wire::encode_row_masked(store, kept, values),
+                      masked_view(values, row_coord_mask(store, kept)));
   }
 }
 
@@ -164,13 +204,18 @@ TEST(CompactDecode, SparseFixedAndVarintIncludingEmptyAndFull) {
   };
   for (const auto& indices : index_sets) {
     std::vector<float> sparse_vals;
-    for (const auto idx : indices) sparse_vals.push_back(values[idx]);
+    std::vector<std::uint8_t> mask(n, 0);
+    for (const auto idx : indices) {
+      sparse_vals.push_back(values[idx]);
+      mask[idx] = 1;
+    }
     for (const bool fixed : {true, false}) {
       const auto payload =
           fixed ? wire::encode_sparse_fixed(indices, sparse_vals, 64)
                 : wire::encode_sparse_varint(indices, sparse_vals);
       wire::CompactUpdate compact;
-      expect_compact_matches_dense(store, payload, nullptr, &compact);
+      expect_decodes_to(store, payload, masked_view(values, mask), nullptr,
+                        &compact);
       if (indices.empty()) {
         EXPECT_EQ(compact.transmitted(), 0u);
       }
@@ -184,26 +229,41 @@ TEST(CompactDecode, Ternary) {
                                            static_cast<std::uint32_t>(
                                                store.size() - 1)};
   const std::vector<std::uint8_t> negative{0, 1, 1, 0, 1};
-  expect_compact_matches_dense(
-      store, wire::encode_ternary(0.125F, indices, negative, 64));
+  wire::Decoded expected = empty_view(store.size());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    expected.values[indices[k]] = negative[k] != 0 ? -0.125F : 0.125F;
+    expected.present.set(indices[k]);
+  }
+  expect_decodes_to(store, wire::encode_ternary(0.125F, indices, negative, 64),
+                    expected);
   // k = 0: the empty ternary section.
-  expect_compact_matches_dense(store, wire::encode_ternary(0.0F, {}, {}, 64));
+  expect_decodes_to(store, wire::encode_ternary(0.0F, {}, {}, 64),
+                    empty_view(store.size()));
 }
 
 TEST(CompactDecode, SignMeanWithAndWithoutCandidates) {
   const auto store = ragged_store();
   const std::size_t n = store.size();
   const auto values = hostile_values(n, 307);
+  // The decoded value is ±scale by the sign bit of what was encoded.
+  auto signs = [&](std::span<const std::uint8_t> mask) {
+    std::vector<float> s(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      s[i] = std::signbit(values[i]) ? -0.25F : 0.25F;
+    }
+    return masked_view(s, mask);
+  };
   {  // every coordinate is a candidate
+    const std::vector<std::uint8_t> all(n, 1);
     const auto payload = wire::encode_sign_mean(0.25F, {}, values);
-    expect_compact_matches_dense(store, payload);
+    expect_decodes_to(store, payload, signs(all));
   }
   {  // a proper candidate subset
     std::vector<std::uint8_t> mask(n, 0);
     for (std::size_t i = 0; i < n; i += 3) mask[i] = 1;
     const auto candidates = wire::Bitset::from_bytemask(mask);
     const auto payload = wire::encode_sign_mean(0.25F, mask, values);
-    expect_compact_matches_dense(store, payload, &candidates);
+    expect_decodes_to(store, payload, signs(mask), &candidates);
   }
 }
 
@@ -211,14 +271,29 @@ TEST(CompactDecode, Int8DenseWithAndWithoutCandidates) {
   const auto store = ragged_store();
   const std::size_t n = store.size();
   tensor::Rng rng(309);
-  {
-    std::vector<std::int8_t> quants(n);
+  auto random_quants = [&](std::size_t count) {
+    std::vector<std::int8_t> quants(count);
     for (auto& q : quants) {
       q = static_cast<std::int8_t>(
           static_cast<int>(rng.uniform_index(255)) - 127);
     }
+    return quants;
+  };
+  // Quant c lands on the c-th candidate as q · scale.
+  auto dequantized = [&](std::span<const std::int8_t> quants,
+                         std::span<const std::uint8_t> mask) {
+    std::vector<float> v(n, 0.0F);
+    std::size_t c = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mask[i] != 0) v[i] = static_cast<float>(quants[c++]) * 0.01F;
+    }
+    return masked_view(v, mask);
+  };
+  {
+    const std::vector<std::uint8_t> all(n, 1);
+    const auto quants = random_quants(n);
     const auto payload = wire::encode_int8_dense(0.01F, quants, n);
-    expect_compact_matches_dense(store, payload);
+    expect_decodes_to(store, payload, dequantized(quants, all));
   }
   {
     std::vector<std::uint8_t> mask(n, 0);
@@ -228,13 +303,9 @@ TEST(CompactDecode, Int8DenseWithAndWithoutCandidates) {
       ++count;
     }
     const auto candidates = wire::Bitset::from_bytemask(mask);
-    std::vector<std::int8_t> quants(count);
-    for (auto& q : quants) {
-      q = static_cast<std::int8_t>(
-          static_cast<int>(rng.uniform_index(255)) - 127);
-    }
+    const auto quants = random_quants(count);
     const auto payload = wire::encode_int8_dense(0.01F, quants, count);
-    expect_compact_matches_dense(store, payload, &candidates);
+    expect_decodes_to(store, payload, dequantized(quants, mask), &candidates);
   }
 }
 
@@ -262,49 +333,49 @@ TEST(CompactDecode, PrunedBothEmittedVariants) {
   for (const auto& mask : {dense_mask, sparse_mask}) {
     const auto payload = wire::encode_pruned(store, mask, values);
     kinds.push_back(payload.kind);
-    expect_compact_matches_dense(store, payload);
+    expect_decodes_to(store, payload, masked_view(values, mask));
   }
   EXPECT_NE(kinds[0], kinds[1]) << "expected both pruned encodings covered";
 }
 
-// Both decoders must reject the same malformed buffers — with the same
-// message, so the fault path's rejection accounting is path-independent.
-TEST(CompactDecode, RejectsMalformedBuffersIdenticallyToDense) {
+// Malformed buffers are rejected with stable messages — the fault path's
+// rejection accounting and logs read them.
+TEST(CompactDecode, RejectsMalformedBuffersWithStableMessages) {
   const auto store = ragged_store();
   const auto values = hostile_values(store.size(), 313);
-  std::vector<wire::Payload> malformed;
+  std::vector<std::pair<wire::Payload, std::string>> malformed;
   {
     auto p = wire::encode_dense_f32(values);
     p.bytes.resize(p.bytes.size() - 3);
-    malformed.push_back(std::move(p));
+    malformed.emplace_back(std::move(p), "dense payload length mismatch");
   }
   {
     std::vector<std::uint8_t> kept(store.droppable_rows(), 1);
     auto p = wire::encode_row_masked(store, kept, values);
     p.bytes.push_back(0);
-    malformed.push_back(std::move(p));
+    malformed.emplace_back(std::move(p), "trailing bytes after payload");
+  }
+  {
+    std::vector<std::uint8_t> kept(store.droppable_rows(), 1);
+    auto p = wire::encode_row_masked(store, kept, values);
+    p.bytes.pop_back();
+    malformed.emplace_back(std::move(p), "payload truncated");
   }
   {
     const std::vector<std::uint32_t> bad{
         static_cast<std::uint32_t>(store.size())};
     const std::vector<float> v{1.0F};
-    malformed.push_back(wire::encode_sparse_fixed(bad, v, 64));
+    malformed.emplace_back(wire::encode_sparse_fixed(bad, v, 64),
+                           "sparse index out of range");
   }
-  for (const auto& payload : malformed) {
-    std::string dense_error;
-    std::string compact_error;
-    try {
-      (void)wire::decode_update(store, payload);
-    } catch (const wire::DecodeError& e) {
-      dense_error = e.what();
-    }
+  for (const auto& [payload, message] : malformed) {
+    std::string error;
     try {
       (void)wire::decode_update_compact(store, payload);
     } catch (const wire::DecodeError& e) {
-      compact_error = e.what();
+      error = e.what();
     }
-    EXPECT_FALSE(dense_error.empty());
-    EXPECT_EQ(dense_error, compact_error);
+    EXPECT_EQ(error, message);
   }
 }
 
@@ -327,16 +398,16 @@ TEST(CompactDecode, BitmapRankMatchesNaivePopcount) {
   ASSERT_EQ(compact.rank(n), naive);
 }
 
-// --- fused aggregate / merge == dense kernels ------------------------------
+// --- fused aggregate / merge == dense oracles ------------------------------
 
 struct Batch {
-  std::vector<fl::ClientOutcome> dense;       ///< values/present decode
+  std::vector<oracle::DenseOutcome> dense;    ///< expanded values/present
   std::vector<wire::CompactUpdate> compact;   ///< owning storage
   std::vector<fl::FusedUpdate> fused;         ///< views into `compact`
 };
 
 /// One update per compact form (dense, bitmap, sparse, empty) with distinct
-/// weights, decoded through both paths from the same wire payloads.
+/// weights, decoded once and held in both the compact and the dense view.
 Batch mixed_batch(const nn::ParameterStore& store, bool is_update) {
   const std::size_t n = store.size();
   Batch b;
@@ -361,15 +432,11 @@ Batch mixed_batch(const nn::ParameterStore& store, bool is_update) {
   payloads.push_back(wire::encode_sparse_varint({}, {}));
   const std::size_t samples[] = {3, 21, 8, 5};
   for (std::size_t k = 0; k < payloads.size(); ++k) {
-    const wire::Decoded d = wire::decode_update(store, payloads[k]);
-    fl::ClientOutcome out;
-    out.client_id = k;
-    out.samples = samples[k];
-    out.values = d.values;
-    out.present = d.present;
-    out.is_update = is_update;
-    b.dense.push_back(std::move(out));
     b.compact.push_back(wire::decode_update_compact(store, payloads[k]));
+    wire::Decoded d = wire::expand(b.compact.back());
+    b.dense.push_back(oracle::make_dense(std::move(d.values),
+                                         std::move(d.present), samples[k],
+                                         is_update));
   }
   for (std::size_t k = 0; k < b.compact.size(); ++k) {
     b.fused.push_back({&b.compact[k], static_cast<double>(samples[k]),
@@ -402,7 +469,7 @@ TEST(FusedAggregate, MatchesDenseKernelPerRuleAndOutcomeType) {
                             fl::AggregationRule::kPerCoordinateNormalized}) {
       std::vector<float> dense_global = base;
       std::vector<float> fused_global = base;
-      fl::aggregate(dense_global, b.dense, rule);
+      oracle::aggregate(dense_global, b.dense, rule);
       sharded.aggregate(fused_global, b.fused, rule);
       expect_params_bit_identical(fused_global, dense_global);
     }
@@ -413,7 +480,7 @@ TEST(FusedAggregate, MatchesDenseKernelPerRuleAndOutcomeType) {
 /// fused path: per coordinate, deltas against the pre-merge global are
 /// weight-averaged in batch order and the global steps by mixing_rate.
 void reference_merge(std::span<float> global,
-                     const std::vector<fl::ClientOutcome>& batch,
+                     const std::vector<oracle::DenseOutcome>& batch,
                      std::span<const double> weights, double mixing_rate) {
   for (std::size_t i = 0; i < global.size(); ++i) {
     double acc = 0.0;
@@ -465,9 +532,9 @@ void expect_doubles_bit_identical(std::span<const double> a,
   }
 }
 
-// The vectorized fused kernels against their scalar fused::ref:: twins on
-// every ragged length around the 4-lane boundaries, over hostile floats
-// (NaN, ±inf, -0): each per-coordinate IEEE multiply and add must round
+// The vectorized fused kernels against their scalar oracle::fused_ref::
+// twins on every ragged length around the 4-lane boundaries, over hostile
+// floats (NaN, ±inf, -0): each per-coordinate IEEE multiply and add must round
 // identically, or the -ffp-contract=off contract is broken somewhere.
 TEST(FusedKernels, VectorMatchesScalarRefBitwiseOnRaggedLengths) {
   for (const std::size_t len :
@@ -483,8 +550,8 @@ TEST(FusedKernels, VectorMatchesScalarRefBitwiseOnRaggedLengths) {
     std::vector<double> w_v(len, 0.5), w_r(len, 0.5);
     fl::fused::accumulate_run(acc_v.data(), w_v.data(), values.data(), len,
                               weight);
-    fl::fused::ref::accumulate_run(acc_r.data(), w_r.data(), values.data(),
-                                   len, weight);
+    oracle::fused_ref::accumulate_run(acc_r.data(), w_r.data(),
+                                      values.data(), len, weight);
     expect_doubles_bit_identical(acc_v, acc_r, "accumulate_run acc", len);
     expect_doubles_bit_identical(w_v, w_r, "accumulate_run weight", len);
 
@@ -492,8 +559,9 @@ TEST(FusedKernels, VectorMatchesScalarRefBitwiseOnRaggedLengths) {
     std::vector<double> mw_v(len, 1.5), mw_r(len, 1.5);
     fl::fused::merge_param_run(macc_v.data(), mw_v.data(), values.data(),
                                global.data(), len, weight);
-    fl::fused::ref::merge_param_run(macc_r.data(), mw_r.data(), values.data(),
-                                    global.data(), len, weight);
+    oracle::fused_ref::merge_param_run(macc_r.data(), mw_r.data(),
+                                       values.data(), global.data(), len,
+                                       weight);
     expect_doubles_bit_identical(macc_v, macc_r, "merge_param_run acc", len);
     expect_doubles_bit_identical(mw_v, mw_r, "merge_param_run weight", len);
   }
@@ -521,8 +589,9 @@ TEST(FusedKernels, SparseVectorMatchesScalarRefBitwise) {
     std::vector<double> w_v(kBlock, 2.0), w_r(kBlock, 2.0);
     fl::fused::accumulate_sparse(acc_v.data(), w_v.data(), indices.data(),
                                  values.data(), count, base, weight);
-    fl::fused::ref::accumulate_sparse(acc_r.data(), w_r.data(), indices.data(),
-                                      values.data(), count, base, weight);
+    oracle::fused_ref::accumulate_sparse(acc_r.data(), w_r.data(),
+                                         indices.data(), values.data(), count,
+                                         base, weight);
     expect_doubles_bit_identical(acc_v, acc_r, "accumulate_sparse acc", count);
     expect_doubles_bit_identical(w_v, w_r, "accumulate_sparse weight", count);
 
@@ -534,10 +603,10 @@ TEST(FusedKernels, SparseVectorMatchesScalarRefBitwise) {
     fl::fused::merge_param_sparse(macc_v.data(), mw_v.data(), indices.data(),
                                   values.data(), wide_global.data(), count,
                                   base, weight);
-    fl::fused::ref::merge_param_sparse(macc_r.data(), mw_r.data(),
-                                       indices.data(), values.data(),
-                                       wide_global.data(), count, base,
-                                       weight);
+    oracle::fused_ref::merge_param_sparse(macc_r.data(), mw_r.data(),
+                                          indices.data(), values.data(),
+                                          wide_global.data(), count, base,
+                                          weight);
     expect_doubles_bit_identical(macc_v, macc_r, "merge_param_sparse acc",
                                  count);
     expect_doubles_bit_identical(mw_v, mw_r, "merge_param_sparse weight",

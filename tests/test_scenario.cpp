@@ -20,7 +20,6 @@
 #include "common/check.hpp"
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/async_simulation.hpp"
 #include "fl/engine_hooks.hpp"
 #include "fl/scheduler.hpp"
@@ -30,6 +29,7 @@
 #include "scenario/config.hpp"
 #include "scenario/json.hpp"
 #include "scenario/model.hpp"
+#include "support/dense_oracle.hpp"
 #include "tensor/rng.hpp"
 #include "wire/accounting.hpp"
 
@@ -745,7 +745,8 @@ fl::ClientOutcome reference_run_client(const ReferenceRig& rig,
 
 // staleness_merge replicated bit for bit for τ = 0 commits (version 0).
 std::vector<float> reference_async_merge(
-    std::vector<float> global, const std::vector<fl::ClientOutcome>& batch) {
+    std::vector<float> global,
+    const std::vector<oracle::DenseOutcome>& batch) {
   std::vector<double> weights(batch.size());
   for (std::size_t k = 0; k < batch.size(); ++k) {
     weights[k] = static_cast<double>(batch[k].samples) * std::pow(1.0, -0.5);
@@ -883,7 +884,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ScenarioDeterminism,
 
 // Barrier + deadline: replay the engine's wave, compute each member's
 // timeline, pick a deadline that cuts exactly the slowest member, and check
-// the engine's partial aggregate against fl::aggregate over the survivors.
+// the engine's partial aggregate against the dense oracle over the survivors.
 TEST(EngineScenario, BarrierDeadlineMatchesHandComputedReference) {
   baselines::FedAvgStrategy strategy;
   const auto fleet = stressed_fleet();
@@ -913,14 +914,14 @@ TEST(EngineScenario, BarrierDeadlineMatchesHandComputedReference) {
   const double deadline = 0.5 * (sorted[1] + sorted[2]);
 
   // Survivors aggregate in selection-slot order, exactly like a full wave.
-  std::vector<fl::ClientOutcome> survivors;
+  std::vector<oracle::DenseOutcome> survivors;
   std::uint64_t expect_wasted = 0;
   std::uint64_t expect_uplink = 0;
   for (auto& m : wave) {
     if (m.t.total() < deadline) {
-      fl::decode_outcome(strategy, rig.model->store(), m.out);
-      expect_uplink += m.out.uplink_bytes;
-      survivors.push_back(std::move(m.out));
+      survivors.push_back(
+          oracle::decode_dense(strategy, rig.model->store(), std::move(m.out)));
+      expect_uplink += survivors.back().uplink_bytes;
     } else if (deadline > m.t.download + m.t.compute) {
       // Cut mid-upload: the engine charges the pushed fraction as wasted.
       const double frac = std::clamp(
@@ -931,7 +932,7 @@ TEST(EngineScenario, BarrierDeadlineMatchesHandComputedReference) {
   }
   ASSERT_EQ(survivors.size(), 2u);
   std::vector<float> expect = rig.global;
-  fl::aggregate(expect, survivors, strategy.aggregation_rule());
+  oracle::aggregate(expect, survivors, strategy.aggregation_rule());
 
   scenario::Config cfg;
   cfg.name = "deadline_ref";
@@ -960,7 +961,7 @@ TEST(EngineScenario, BarrierChurnMatchesHandComputedReference) {
   ReferenceRig rig = make_rig(1, fleet, strategy);
   const auto picks = rig.rng.sample_without_replacement(kClients, 3);
 
-  std::vector<fl::ClientOutcome> survivors;
+  std::vector<oracle::DenseOutcome> survivors;
   for (std::size_t slot = 0; slot < picks.size(); ++slot) {
     fl::ClientOutcome out =
         reference_run_client(rig, strategy, picks[slot], /*stream=*/1, 0.0, 0.0);
@@ -972,11 +973,11 @@ TEST(EngineScenario, BarrierChurnMatchesHandComputedReference) {
       ASSERT_LE(0.1 * t.total(), t.download + t.compute);
       continue;
     }
-    fl::decode_outcome(strategy, rig.model->store(), out);
-    survivors.push_back(std::move(out));
+    survivors.push_back(
+        oracle::decode_dense(strategy, rig.model->store(), std::move(out)));
   }
   std::vector<float> expect = rig.global;
-  fl::aggregate(expect, survivors, strategy.aggregation_rule());
+  oracle::aggregate(expect, survivors, strategy.aggregation_rule());
 
   auto hooks = std::make_shared<TestHooks>();
   hooks->churn_fn = [](std::size_t, std::size_t seq) {
@@ -1043,9 +1044,9 @@ TEST(EngineScenario, FedAsyncChurnMatchesHandComputedReference) {
       reference_timing(rig, strategy, drawn[0], survivor.payload.size());
   ASSERT_LE(0.1 * t.total(), t.download + t.compute)
       << "victim must die before its upload starts";
-  fl::decode_outcome(strategy, rig.model->store(), survivor);
-  const std::vector<float> expect =
-      reference_async_merge(rig.global, {survivor});
+  const std::vector<float> expect = reference_async_merge(
+      rig.global,
+      {oracle::decode_dense(strategy, rig.model->store(), std::move(survivor))});
 
   auto hooks = std::make_shared<TestHooks>();
   hooks->churn_fn = [](std::size_t, std::size_t seq) {
@@ -1097,7 +1098,7 @@ EmulationResult emulate_async_deadline(ReferenceRig& rig,
     fl::ClientOutcome out;
   };
   std::vector<EmuJob> active;
-  std::vector<fl::ClientOutcome> buffer;
+  std::vector<oracle::DenseOutcome> buffer;
   std::size_t seq = 0;
   EmulationResult res;
 
@@ -1160,8 +1161,8 @@ EmulationResult emulate_async_deadline(ReferenceRig& rig,
     EmuJob job = std::move(active[pick]);
     active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
     if (pick_arrives) {
-      fl::decode_outcome(strategy, rig.model->store(), job.out);
-      buffer.push_back(std::move(job.out));
+      buffer.push_back(
+          oracle::decode_dense(strategy, rig.model->store(), std::move(job.out)));
       if (buffer.size() == k_commit) {
         res.commit_clock = best_t;
         break;
@@ -1382,16 +1383,16 @@ TEST(EngineScenario, UplinkAccountingExcludesChurnedUploads) {
   expect_conserved(r);
 }
 
-// decode_outcome's double-decode guard — the invariant that makes
+// decode_outcome_compact's double-decode guard — the invariant that makes
 // "abandoned uploads are never decoded, so never counted" checkable.
 TEST(EngineScenario, DecodeOutcomeRejectsDoubleDecode) {
   baselines::FedAvgStrategy strategy;
   ReferenceRig rig = make_rig(1, {}, strategy);
   fl::ClientOutcome out =
       reference_run_client(rig, strategy, 0, /*stream=*/1, 0.0, 0.0);
-  fl::decode_outcome(strategy, rig.model->store(), out);
+  fl::decode_outcome_compact(strategy, rig.model->store(), out);
   EXPECT_EQ(out.uplink_bytes, wire::dense_f32_bytes(rig.global.size()));
-  EXPECT_THROW(fl::decode_outcome(strategy, rig.model->store(), out),
+  EXPECT_THROW(fl::decode_outcome_compact(strategy, rig.model->store(), out),
                CheckError);
 }
 
