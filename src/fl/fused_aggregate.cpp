@@ -24,23 +24,28 @@ namespace {
 // tests/support/dense_oracle.cpp) bit for bit.
 using V4d = double __attribute__((vector_size(32)));
 
+// The helpers below take and hand back V4d only by reference: a 32-byte
+// vector passed or returned by value has a different calling convention
+// with and without AVX, which the baseline-ISA (portable) build reports as
+// a -Wpsabi error. Inlined, both forms compile to the same instructions.
+//
 // Widen four floats to four doubles. The element-wise initializer — not
 // __builtin_convertvector on a loaded V4f — is deliberate: GCC 12 lowers
 // the convertvector form to two half-width converts plus an insert, while
 // this form folds into the single full-width convert-from-memory
 // instruction. Conversion is exact either way, so the contract is safe.
-inline V4d widen4(const float* p) noexcept {
-  return V4d{static_cast<double>(p[0]), static_cast<double>(p[1]),
-             static_cast<double>(p[2]), static_cast<double>(p[3])};
+inline void widen4(V4d& out, const float* p) noexcept {
+  out = V4d{static_cast<double>(p[0]), static_cast<double>(p[1]),
+            static_cast<double>(p[2]), static_cast<double>(p[3])};
 }
 
-inline V4d load4d(const double* p) noexcept {
+// p[0..4) += x: one IEEE add per lane.
+inline void add4d(double* p, const V4d& x) noexcept {
   V4d v;
   std::memcpy(&v, p, sizeof v);
-  return v;
+  v += x;
+  std::memcpy(p, &v, sizeof v);
 }
-
-inline void store4d(double* p, V4d v) noexcept { std::memcpy(p, &v, sizeof v); }
 
 // Scalar tails: the last len % 4 elements of each kernel below, one IEEE
 // multiply and one add per coordinate like every vector lane.
@@ -90,9 +95,10 @@ void accumulate_run(double* acc, double* present_weight, const float* values,
   const V4d wv = {weight, weight, weight, weight};
   std::size_t i = 0;
   for (; i + 4 <= len; i += 4) {
-    const V4d v = widen4(values + i);
-    store4d(acc + i, load4d(acc + i) + wv * v);
-    store4d(present_weight + i, load4d(present_weight + i) + wv);
+    V4d v;
+    widen4(v, values + i);
+    add4d(acc + i, wv * v);
+    add4d(present_weight + i, wv);
   }
   if (i < len) {
     tail_run(acc + i, present_weight + i, values + i, len - i, weight);
@@ -104,10 +110,12 @@ void merge_param_run(double* acc, double* weight_acc, const float* values,
   const V4d wv = {weight, weight, weight, weight};
   std::size_t i = 0;
   for (; i + 4 <= len; i += 4) {
-    const V4d v = widen4(values + i);
-    const V4d g = widen4(global + i);
-    store4d(acc + i, load4d(acc + i) + wv * (v - g));
-    store4d(weight_acc + i, load4d(weight_acc + i) + wv);
+    V4d v;
+    V4d g;
+    widen4(v, values + i);
+    widen4(g, global + i);
+    add4d(acc + i, wv * (v - g));
+    add4d(weight_acc + i, wv);
   }
   if (i < len) {
     tail_merge_run(acc + i, weight_acc + i, values + i, global + i, len - i,
@@ -124,7 +132,9 @@ void accumulate_sparse(double* acc, double* present_weight,
   // ascending, so the four destinations of one batch are distinct and the
   // scalar adds land in the same per-coordinate order as a scalar loop.
   for (; c + 4 <= count; c += 4) {
-    const V4d prod = wv * widen4(values + c);
+    V4d v;
+    widen4(v, values + c);
+    const V4d prod = wv * v;
     for (std::size_t t = 0; t < 4; ++t) {
       const std::size_t i = indices[c + t] - base;
       acc[i] += prod[t];
@@ -148,8 +158,9 @@ void merge_param_sparse(double* acc, double* weight_acc,
                    static_cast<double>(global[indices[c + 1]]),
                    static_cast<double>(global[indices[c + 2]]),
                    static_cast<double>(global[indices[c + 3]])};
-    const V4d delta = widen4(values + c) - g;
-    const V4d prod = wv * delta;
+    V4d v;
+    widen4(v, values + c);
+    const V4d prod = wv * (v - g);
     for (std::size_t t = 0; t < 4; ++t) {
       const std::size_t i = indices[c + t] - base;
       acc[i] += prod[t];

@@ -6,14 +6,15 @@
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 #include "common/check.hpp"
 
@@ -31,6 +32,28 @@ std::string errno_text(const char* what) {
 void set_nodelay(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// One frame as the three runs it goes on the wire from: the envelope's
+/// head, the caller's body, the envelope's crc trailer.
+using FrameRuns = std::array<std::span<const std::uint8_t>, 3>;
+
+/// One gather write of `runs` minus its first `skip` bytes (already on the
+/// wire). Returns what ::sendmsg returns.
+ssize_t send_runs(int fd, const FrameRuns& runs, std::size_t skip) {
+  std::array<iovec, 3> iov{};
+  std::size_t count = 0;
+  for (const auto run : runs) {
+    const std::size_t drop = std::min(skip, run.size());
+    skip -= drop;
+    if (drop == run.size()) continue;
+    iov[count++] = {const_cast<std::uint8_t*>(run.data() + drop),
+                    run.size() - drop};
+  }
+  msghdr msg{};
+  msg.msg_iov = iov.data();
+  msg.msg_iovlen = count;
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
 }
 
 }  // namespace
@@ -216,11 +239,31 @@ bool EpollServerTransport::send(SessionId session, FrameType type,
   const std::size_t wire_size = frame_wire_size(body.size());
   FEDBIAD_CHECK(wire_size <= c.out.capacity(),
                 "frame exceeds the session send-ring capacity");
-  std::vector<std::uint8_t> wire;
-  append_frame(wire, type, body);
-  if (!c.out.write(wire)) {
+  if (wire_size > c.out.free_space()) {
     c.refused = true;  // backpressure: on_drain fires once the ring empties
     return false;
+  }
+  const FrameEnvelope env = frame_envelope(type, body);
+  const FrameRuns runs{env.head, body, env.trailer};
+  std::size_t sent = 0;
+  if (c.out.empty()) {
+    // Nothing is queued ahead of this frame, so the kernel gets it straight
+    // from the caller's buffer; only what it does not take is parked.
+    ssize_t n = 0;
+    do {
+      n = send_runs(c.fd, runs, 0);
+    } while (n < 0 && errno == EINTR);
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+      close(session, errno_text("send"));
+      return false;
+    }
+    sent = n > 0 ? static_cast<std::size_t>(n) : 0;
+    if (sent == wire_size) return true;
+  }
+  for (const auto run : runs) {
+    const std::size_t skip = std::min(sent, run.size());
+    sent -= skip;
+    c.out.write(run.subspan(skip));  // fits: free_space() >= wire_size
   }
   return flush(session);
 }
@@ -326,13 +369,13 @@ bool TcpClientTransport::connect() {
 bool TcpClientTransport::send(FrameType type,
                               std::span<const std::uint8_t> body) {
   if (!connected()) return false;
-  std::vector<std::uint8_t> wire;
-  append_frame(wire, type, body);
+  const FrameEnvelope env = frame_envelope(type, body);
+  const FrameRuns runs{env.head, body, env.trailer};
+  const std::size_t wire_size = frame_wire_size(body.size());
   std::size_t off = 0;
   int stalled_ms = 0;
-  while (off < wire.size()) {
-    const ssize_t n =
-        ::send(fd_, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
+  while (off < wire_size) {
+    const ssize_t n = send_runs(fd_, runs, off);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       stalled_ms = 0;

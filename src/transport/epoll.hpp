@@ -12,9 +12,18 @@
 // deadline, and a peer that stops producing complete frames is evicted by
 // the read deadline.
 //
+// send() builds no frame buffer. When nothing is queued for the peer it
+// hands the frame's head, the caller's body and the crc trailer to one
+// sendmsg() gather write, and the ring receives only the bytes the kernel
+// did not take; behind queued bytes, the frame is copied into the ring
+// whole. Either way a frame is refused only when it does not fit the
+// ring's free space, so backpressure is the same as if every frame went
+// through the ring.
+//
 // TcpClientTransport is the deliberately simpler connecting side: clients
-// are single-session processes, so sends poll() for writability instead
-// of maintaining a ring, and step() is a poll+recv slice.
+// are single-session processes, so sends gather-write the same three runs
+// and poll() for writability instead of maintaining a ring, and step() is
+// a poll+recv slice.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 #include "transport/frame.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "common/check.hpp"
 #include "wire/crc32c.hpp"
@@ -8,8 +8,8 @@
 namespace fedbiad::transport {
 namespace {
 
-constexpr std::size_t kLenBytes = 4;
-constexpr std::size_t kCrcBytes = 4;
+constexpr std::size_t kLenBytes = kFrameHeadBytes - 1;
+constexpr std::size_t kCrcBytes = kFrameTrailerBytes;
 // len counts type + body + crc, so the smallest legal value is 5.
 constexpr std::uint32_t kMinLen = 1 + kCrcBytes;
 
@@ -47,19 +47,26 @@ const char* to_string(FrameType type) {
   return "unknown";
 }
 
+FrameEnvelope frame_envelope(FrameType type,
+                             std::span<const std::uint8_t> body) {
+  FrameEnvelope env;
+  store_u32le(env.head.data(),
+              static_cast<std::uint32_t>(1 + body.size() + kCrcBytes));
+  env.head[kLenBytes] = static_cast<std::uint8_t>(type);
+  const std::uint32_t crc = wire::crc32c(
+      body, wire::crc32c(std::span<const std::uint8_t>(&env.head[kLenBytes], 1)));
+  store_u32le(env.trailer.data(), crc);
+  return env;
+}
+
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,
                   std::span<const std::uint8_t> body) {
+  const FrameEnvelope env = frame_envelope(type, body);
   const std::size_t start = out.size();
   out.resize(start + frame_wire_size(body.size()));
-  std::uint8_t* p = out.data() + start;
-  store_u32le(p, static_cast<std::uint32_t>(1 + body.size() + kCrcBytes));
-  p[kLenBytes] = static_cast<std::uint8_t>(type);
-  if (!body.empty()) {
-    std::memcpy(p + kLenBytes + 1, body.data(), body.size());
-  }
-  const std::uint32_t crc =
-      wire::crc32c(std::span<const std::uint8_t>(p + kLenBytes, 1 + body.size()));
-  store_u32le(p + kLenBytes + 1 + body.size(), crc);
+  auto at = std::copy(env.head.begin(), env.head.end(), out.begin() + start);
+  at = std::copy(body.begin(), body.end(), at);
+  std::copy(env.trailer.begin(), env.trailer.end(), at);
 }
 
 FrameParser::FrameParser(std::size_t max_frame_bytes)

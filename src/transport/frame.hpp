@@ -10,6 +10,11 @@
 // uses, so a frame corrupted anywhere between the peers is detected before
 // any message decoding runs.
 //
+// frame_envelope() computes the bytes around a body — the 5-byte head and
+// the 4-byte crc trailer — without copying the body, so a sender can hand
+// head, body and trailer to one gather write straight from the caller's
+// buffer. append_frame() is the contiguous form of the same bytes.
+//
 // FrameParser is an incremental, bounded parser made for non-blocking
 // sockets: feed() it whatever recv() returned (any split, byte-at-a-time
 // included) and pull complete frames with next(). It enforces
@@ -20,6 +25,7 @@
 // or malicious peer, and the connection must die).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -49,13 +55,28 @@ struct Frame {
   std::vector<std::uint8_t> body;
 };
 
-/// Bytes between itself and the body: u32 len + u8 type + u32 crc.
-inline constexpr std::size_t kFrameOverheadBytes = 9;
+/// Bytes before the body (u32 len + u8 type) and after it (u32 crc).
+inline constexpr std::size_t kFrameHeadBytes = 5;
+inline constexpr std::size_t kFrameTrailerBytes = 4;
+inline constexpr std::size_t kFrameOverheadBytes =
+    kFrameHeadBytes + kFrameTrailerBytes;
 
 /// Wire size of a frame with `body_bytes` of body.
 [[nodiscard]] constexpr std::size_t frame_wire_size(std::size_t body_bytes) {
   return kFrameOverheadBytes + body_bytes;
 }
+
+/// The wire bytes of a frame minus its body: head ‖ body ‖ trailer is the
+/// frame append_frame() writes.
+struct FrameEnvelope {
+  std::array<std::uint8_t, kFrameHeadBytes> head;
+  std::array<std::uint8_t, kFrameTrailerBytes> trailer;
+};
+
+/// Head and crc trailer of (type, body); the crc runs over the body where
+/// it lies.
+[[nodiscard]] FrameEnvelope frame_envelope(FrameType type,
+                                           std::span<const std::uint8_t> body);
 
 /// Appends the full wire encoding of (type, body) to `out`.
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,

@@ -83,15 +83,30 @@ WelcomeMsg decode_welcome(std::span<const std::uint8_t> body) {
   return m;
 }
 
-std::vector<std::uint8_t> encode(const DispatchMsg& m) {
+DispatchFrame::DispatchFrame(std::span<const std::uint8_t> broadcast) {
   wire::Writer w;
-  w.u64(m.dispatch_index);
-  w.u64(m.round);
-  w.u64(m.slot);
-  w.u64(m.model_version);
-  w.u64(m.rng_stream);
-  put_bytes(w, m.broadcast);
-  return std::move(w).take();
+  for (int field = 0; field < 5; ++field) w.u64(0);
+  put_bytes(w, broadcast);
+  body_ = std::move(w).take();
+}
+
+std::span<const std::uint8_t> DispatchFrame::patch(const Header& h) {
+  std::uint8_t* p = body_.data();
+  for (const std::uint64_t v :
+       {h.dispatch_index, h.round, h.slot, h.model_version, h.rng_stream}) {
+    for (int i = 0; i < 8; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return body_;
+}
+
+std::vector<std::uint8_t> encode(const DispatchMsg& m) {
+  DispatchFrame frame(m.broadcast);
+  (void)frame.patch({.dispatch_index = m.dispatch_index,
+                     .round = m.round,
+                     .slot = m.slot,
+                     .model_version = m.model_version,
+                     .rng_stream = m.rng_stream});
+  return std::move(frame).take();
 }
 
 DispatchMsg decode_dispatch(std::span<const std::uint8_t> body) {

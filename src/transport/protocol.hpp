@@ -17,9 +17,16 @@
 // is the round number (barrier) or a dispatch counter (async) — shipping
 // the stream id lets a remote client reproduce the exact engine draw
 // without knowing which mode the server runs.
+//
+// The server sends one model version to many clients, so a Dispatch body
+// is built once per version as a DispatchFrame: the five u64 header fields
+// come first and are overwritten in place for each client, and the
+// broadcast bytes after them are never copied again. encode(DispatchMsg)
+// goes through the same type, so there is one Dispatch encoder.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +56,33 @@ struct DispatchMsg {
   std::uint64_t model_version = 0;
   std::uint64_t rng_stream = 0;  ///< second split of the client rng chain
   std::vector<std::uint8_t> broadcast;  ///< encoded global (kDenseF32)
+};
+
+/// A Dispatch body built once per model version and patched per client.
+class DispatchFrame {
+ public:
+  /// The per-client fields of DispatchMsg, in wire order.
+  struct Header {
+    std::uint64_t dispatch_index = 0;
+    std::uint64_t round = 0;
+    std::uint64_t slot = 0;
+    std::uint64_t model_version = 0;
+    std::uint64_t rng_stream = 0;
+  };
+
+  /// Lays out a zero header, the broadcast's varint length, then the
+  /// broadcast bytes.
+  explicit DispatchFrame(std::span<const std::uint8_t> broadcast);
+
+  /// Overwrites the header fields in place and returns the whole body,
+  /// byte-identical to encode() of the matching DispatchMsg. The span
+  /// stays valid until the next patch() or the frame's destruction.
+  [[nodiscard]] std::span<const std::uint8_t> patch(const Header& header);
+
+  [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(body_); }
+
+ private:
+  std::vector<std::uint8_t> body_;
 };
 
 struct UploadMsg {

@@ -72,8 +72,8 @@ void ServerRuntime::start() {
 void ServerRuntime::launch(const fl::ServerCore::Dispatch& d) {
   if (!broadcast_ || broadcast_version_ != d.version) {
     broadcast_.reset();
-    broadcast_ = std::make_shared<const std::vector<std::uint8_t>>(
-        core_.encode_broadcast().bytes);
+    broadcast_ =
+        std::make_shared<DispatchFrame>(core_.encode_broadcast().bytes);
     broadcast_version_ = d.version;
   }
   InFlight inf;
@@ -102,14 +102,14 @@ void ServerRuntime::try_send_dispatch(std::size_t client) {
   auto sess = client_session_.find(client);
   if (sess == client_session_.end()) return;  // offline; retried on Hello
   const fl::ServerCore::Dispatch& d = inf->second.dispatch;
-  DispatchMsg msg;
-  msg.dispatch_index = d.index;
-  msg.round = d.version + 1;
-  msg.slot = d.slot;
-  msg.model_version = d.version;
-  msg.rng_stream = d.rng_stream;
-  msg.broadcast = *inf->second.broadcast;
-  if (!transport_.send(sess->second, FrameType::kDispatch, encode(msg))) {
+  // The transport only borrows the body for the call, so the shared
+  // per-version buffer is patched in place for each dispatch.
+  const auto body = inf->second.broadcast->patch({.dispatch_index = d.index,
+                                                  .round = d.version + 1,
+                                                  .slot = d.slot,
+                                                  .model_version = d.version,
+                                                  .rng_stream = d.rng_stream});
+  if (!transport_.send(sess->second, FrameType::kDispatch, body)) {
     // Backpressure: the dispatch stays unsent; on_drain retries. The
     // in-flight record (and its deadline) already exists, so a peer that
     // never drains is abandoned like any straggler.

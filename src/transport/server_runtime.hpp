@@ -147,7 +147,9 @@ class ServerRuntime final : public ServerTransport::Handler,
   void on_drain(SessionId session) override;
 
  private:
-  using Broadcast = std::shared_ptr<const std::vector<std::uint8_t>>;
+  /// The Dispatch body of one model version, shared by every dispatch of
+  /// that version and patched with each one's header just before its send.
+  using Broadcast = std::shared_ptr<DispatchFrame>;
 
   struct InFlight {
     fl::ServerCore::Dispatch dispatch;
@@ -201,7 +203,7 @@ class ServerRuntime final : public ServerTransport::Handler,
   bool draining_decodes_ = false;  ///< reentrancy guard for drain_decodes
 
   std::unordered_map<std::size_t, InFlight> inflight_;  ///< by client id
-  Broadcast broadcast_;  ///< encoded global of broadcast_version_
+  Broadcast broadcast_;  ///< Dispatch body of broadcast_version_
   std::size_t broadcast_version_ = 0;
 
   std::unordered_map<SessionId, Session> sessions_;

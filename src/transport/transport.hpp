@@ -96,6 +96,10 @@ class ServerTransport {
   /// Queues one frame for the peer. Returns false when the send ring
   /// cannot hold it right now — nothing is queued, and on_drain() fires
   /// once the ring has fully drained. Callers park the message and retry.
+  /// `body` is only borrowed for the call: whatever the transport keeps it
+  /// has copied before returning, so the caller may reuse or patch the
+  /// buffer as soon as send() returns (the server runtime patches one
+  /// Dispatch body per model version in place for every client).
   [[nodiscard]] virtual bool send(SessionId session, FrameType type,
                                   std::span<const std::uint8_t> body) = 0;
 

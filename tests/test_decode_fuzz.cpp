@@ -1,4 +1,5 @@
-// Seeded mutation fuzz of the server's one update decoder.
+// Seeded mutation fuzz of the server's one update decoder and of the
+// transport parsers in front of it.
 //
 // Every strategy decodes through Strategy::decode_payload_compact, which
 // ends in wire::decode_update_compact (or the width plan's sub-model
@@ -10,6 +11,11 @@
 // CompactUpdate that one ShardedAccumulator::aggregate call commits
 // cleanly. Any other exception, or a sanitizer report under the asan /
 // ubsan presets, is a defect and gets its own named regression case below.
+//
+// The transport parsers in front of that decoder get the same treatment
+// (TransportFuzz.*): every protocol message body is mutated against its
+// decode_*, and framed byte streams are fed to FrameParser in random
+// splits with corrupted, truncated and lying length prefixes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +37,8 @@
 #include "nn/mlp_model.hpp"
 #include "nn/parameter_store.hpp"
 #include "tensor/rng.hpp"
+#include "transport/frame.hpp"
+#include "transport/protocol.hpp"
 #include "wire/compact.hpp"
 #include "wire/reader.hpp"
 #include "wire/update_codec.hpp"
@@ -273,13 +281,15 @@ std::vector<Seed> build_corpus(const Rig& rig, tensor::Rng& rng) {
   return corpus;
 }
 
-/// Re-encodes one varint of the payload's leading varint run — the entry
-/// count or one of the delta-varint gaps after it, as the varint-led kinds
-/// lay them out — with `value`, keeping every other byte as it was.
+/// Re-encodes one varint of the varint run starting at byte `from` — for a
+/// payload (from 0) the entry count or one of the delta-varint gaps after
+/// it, as the varint-led kinds lay them out — with `value`, keeping every
+/// other byte as it was.
 void rewrite_leading_varint(std::vector<std::uint8_t>& bytes,
-                            std::size_t which, std::uint64_t value) {
-  std::size_t begin = 0;
-  std::size_t end = 0;
+                            std::size_t from, std::size_t which,
+                            std::uint64_t value) {
+  std::size_t begin = from;
+  std::size_t end = from;
   for (std::size_t v = 0; v <= which && end < bytes.size(); ++v) {
     begin = end;
     while (end < bytes.size() && (bytes[end] & 0x80U) != 0) ++end;
@@ -309,10 +319,13 @@ std::uint64_t lying_varint(tensor::Rng& rng, std::size_t n) {
   }
 }
 
-wire::Payload mutate(const Seed& seed, const std::vector<Seed>& corpus,
-                     tensor::Rng& rng) {
-  wire::Payload p = seed.payload;
-  std::vector<std::uint8_t>& b = p.bytes;
+/// Applies one seeded mutation to `b`: bit flips, truncation, extension, a
+/// splice with the tail of `pick_other()`'s bytes, a lie in the varint run
+/// starting at byte `varint_at`, or a varint planted mid-stream. `n` scales
+/// the lies (see lying_varint).
+template <typename PickOther>
+void mutate_bytes(std::vector<std::uint8_t>& b, PickOther pick_other,
+                  std::size_t varint_at, std::size_t n, tensor::Rng& rng) {
   switch (rng.uniform_index(6)) {
     case 0: {  // bit flips
       if (b.empty()) break;
@@ -333,9 +346,8 @@ wire::Payload mutate(const Seed& seed, const std::vector<Seed>& corpus,
       }
       break;
     }
-    case 3: {  // splice: this payload's head, another payload's tail
-      const auto& other =
-          corpus[rng.uniform_index(corpus.size())].payload.bytes;
+    case 3: {  // splice: this buffer's head, another buffer's tail
+      const std::vector<std::uint8_t>& other = pick_other();
       const std::size_t cut = rng.uniform_index(b.size() + 1);
       const std::size_t from = rng.uniform_index(other.size() + 1);
       b.resize(cut);
@@ -343,13 +355,13 @@ wire::Payload mutate(const Seed& seed, const std::vector<Seed>& corpus,
                other.end());
       break;
     }
-    case 4:  // the entry count or one of the first gaps lies
-      rewrite_leading_varint(b, rng.uniform_index(4),
-                             lying_varint(rng, seed.layout->size()));
+    case 4:  // a count, gap or length varint lies
+      rewrite_leading_varint(b, varint_at, rng.uniform_index(4),
+                             lying_varint(rng, n));
       break;
     default: {  // a varint (gap, count) planted mid-stream
       wire::Writer w;
-      w.varint(lying_varint(rng, seed.layout->size()));
+      w.varint(lying_varint(rng, n));
       const std::vector<std::uint8_t> lie = std::move(w).take();
       const std::size_t at = rng.uniform_index(b.size() + 1);
       const std::size_t span = std::min(lie.size(), b.size() - at);
@@ -360,6 +372,17 @@ wire::Payload mutate(const Seed& seed, const std::vector<Seed>& corpus,
       break;
     }
   }
+}
+
+wire::Payload mutate(const Seed& seed, const std::vector<Seed>& corpus,
+                     tensor::Rng& rng) {
+  wire::Payload p = seed.payload;
+  mutate_bytes(
+      p.bytes,
+      [&]() -> const std::vector<std::uint8_t>& {
+        return corpus[rng.uniform_index(corpus.size())].payload.bytes;
+      },
+      /*varint_at=*/0, seed.layout->size(), rng);
   return p;
 }
 
@@ -434,6 +457,311 @@ TEST(DecodeFuzz, EveryMutationIsRejectedOrDecodesWellFormed) {
   // Both outcomes must actually occur, or the mutators are too weak/strong.
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+// --- transport parsers ------------------------------------------------------
+
+/// One protocol body per message kind, built by the repo's encoders.
+/// `reencode` decodes a body (throwing wire::DecodeError on malformation)
+/// and encodes the result again; `varint_at` is where the body's byte-run
+/// length varint sits (0 for bodies without one).
+struct ProtocolSeed {
+  std::string name;
+  transport::FrameType type;
+  std::vector<std::uint8_t> body;
+  std::size_t varint_at;
+  std::function<std::vector<std::uint8_t>(std::span<const std::uint8_t>)>
+      reencode;
+};
+
+template <typename Decode>
+auto reencoder(Decode decode) {
+  return [decode](std::span<const std::uint8_t> body) {
+    return transport::encode(decode(body));
+  };
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, tensor::Rng& rng) {
+  std::vector<std::uint8_t> b(n);
+  for (auto& x : b) x = static_cast<std::uint8_t>(rng.uniform_index(256));
+  return b;
+}
+
+std::vector<ProtocolSeed> protocol_corpus(tensor::Rng& rng) {
+  using transport::FrameType;
+  std::vector<ProtocolSeed> corpus;
+  corpus.push_back({"hello", FrameType::kHello,
+                    transport::encode(transport::HelloMsg{
+                        .client_id = 3,
+                        .session_token = 0xDEADBEEF,
+                        .payload_kind = 2,
+                        .payload_aux = 9}),
+                    0, reencoder(transport::decode_hello)});
+  corpus.push_back({"welcome", FrameType::kWelcome,
+                    transport::encode(transport::WelcomeMsg{
+                        .session_token = 5, .version = 2, .resumed = 1}),
+                    0, reencoder(transport::decode_welcome)});
+  // Broadcast lengths whose varint prefix takes 1 and 2 bytes, and none.
+  for (const std::size_t len : {0u, 100u, 300u}) {
+    corpus.push_back({"dispatch-" + std::to_string(len), FrameType::kDispatch,
+                      transport::encode(transport::DispatchMsg{
+                          .dispatch_index = 41,
+                          .round = 7,
+                          .slot = 2,
+                          .model_version = 6,
+                          .rng_stream = 0x10029,
+                          .broadcast = random_bytes(len, rng)}),
+                      40, reencoder(transport::decode_dispatch)});
+  }
+  corpus.push_back({"upload", FrameType::kUpload,
+                    transport::encode(transport::UploadMsg{
+                        .dispatch_index = 41,
+                        .samples = 17,
+                        .is_update = 1,
+                        .train_seconds = 0.25,
+                        .mean_loss = 1.5,
+                        .last_loss = 1.25,
+                        .payload = random_bytes(150, rng)}),
+                    41, reencoder(transport::decode_upload)});
+  corpus.push_back({"upload-ack", FrameType::kUploadAck,
+                    transport::encode(transport::UploadAckMsg{41}), 0,
+                    reencoder(transport::decode_upload_ack)});
+  corpus.push_back({"reject", FrameType::kReject,
+                    transport::encode(transport::RejectMsg{
+                        .dispatch_index = 41,
+                        .retry = 1,
+                        .reason = "crc mismatch"}),
+                    9, reencoder(transport::decode_reject)});
+  corpus.push_back({"fin", FrameType::kFin,
+                    transport::encode(transport::FinMsg{9}), 0,
+                    reencoder(transport::decode_fin)});
+  return corpus;
+}
+
+// Every protocol decoder reads a frame body the peer wrote: a mutation must
+// throw wire::DecodeError or decode to a message that is well formed — the
+// accepted body is exactly delimited (one byte more or one byte less is
+// rejected), and its re-encoding is no longer than the input (only an
+// overlong varint can shrink) and decodes back to the same bytes.
+TEST(TransportFuzz, EveryProtocolMutationIsRejectedOrReencodesStably) {
+  constexpr std::size_t kMutationsPerSeed = 1500;
+  tensor::Rng rng(0x7A2B5);
+  const std::vector<ProtocolSeed> corpus = protocol_corpus(rng);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const ProtocolSeed& seed : corpus) {
+    ASSERT_EQ(seed.reencode(seed.body), seed.body) << seed.name;
+    for (std::size_t it = 0; it < kMutationsPerSeed; ++it) {
+      std::vector<std::uint8_t> b = seed.body;
+      mutate_bytes(
+          b,
+          [&]() -> const std::vector<std::uint8_t>& {
+            return corpus[rng.uniform_index(corpus.size())].body;
+          },
+          seed.varint_at, seed.body.size(), rng);
+      std::vector<std::uint8_t> again;
+      try {
+        again = seed.reencode(b);
+      } catch (const wire::DecodeError&) {
+        ++rejected;
+        continue;
+      } catch (const std::exception& e) {
+        FAIL() << seed.name << " mutation " << it
+               << " threw a non-DecodeError: " << e.what();
+      }
+      ASSERT_LE(again.size(), b.size()) << seed.name << " mutation " << it;
+      ASSERT_EQ(seed.reencode(again), again)
+          << seed.name << " mutation " << it;
+      std::vector<std::uint8_t> longer = b;
+      longer.push_back(0);
+      EXPECT_THROW((void)seed.reencode(longer), wire::DecodeError)
+          << seed.name << " mutation " << it;
+      if (!b.empty()) {
+        EXPECT_THROW((void)seed.reencode(std::span<const std::uint8_t>(
+                         b.data(), b.size() - 1)),
+                     wire::DecodeError)
+            << seed.name << " mutation " << it;
+      }
+      ++accepted;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+/// A byte stream of whole frames and where each frame starts.
+struct FrameStream {
+  std::string name;
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::size_t> starts;
+};
+
+void add_frame(FrameStream& s, transport::FrameType type,
+               std::span<const std::uint8_t> body) {
+  s.starts.push_back(s.bytes.size());
+  transport::append_frame(s.bytes, type, body);
+}
+
+void store_u32le(std::vector<std::uint8_t>& b, std::size_t at,
+                 std::uint32_t v) {
+  for (std::size_t i = 0; i < 4 && at + i < b.size(); ++i) {
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+enum class StreamEnd { kClean, kError };
+
+/// Feeds `bytes` to a fresh parser in seeded random splits, pulling frames
+/// after every feed. Each extracted frame must re-frame to exactly the
+/// stream bytes it came from; an error must be sticky and drop later bytes;
+/// a clean end must leave exactly the unconsumed tail buffered.
+StreamEnd parse_in_splits(std::span<const std::uint8_t> bytes,
+                          std::size_t limit, tensor::Rng& rng,
+                          std::string* error,
+                          std::size_t* frames_out = nullptr) {
+  transport::FrameParser parser(limit);
+  transport::Frame frame;
+  std::size_t fed = 0;
+  std::size_t consumed = 0;
+  std::size_t frames = 0;
+  while (fed < bytes.size()) {
+    const std::size_t chunk =
+        rng.uniform_index(8) == 0 ? bytes.size() - fed
+                                  : 1 + rng.uniform_index(64);
+    const std::size_t n = std::min(chunk, bytes.size() - fed);
+    parser.feed(bytes.subspan(fed, n));
+    fed += n;
+    for (;;) {
+      const auto status = parser.next(frame);
+      if (status == transport::FrameParser::Status::kNeedMore) break;
+      if (status == transport::FrameParser::Status::kError) {
+        *error = parser.error();
+        EXPECT_TRUE(parser.failed());
+        EXPECT_FALSE(error->empty());
+        parser.feed(bytes.subspan(fed));
+        EXPECT_EQ(parser.buffered_bytes(), 0u);
+        EXPECT_EQ(parser.next(frame), transport::FrameParser::Status::kError);
+        EXPECT_EQ(parser.error(), *error);
+        return StreamEnd::kError;
+      }
+      std::vector<std::uint8_t> reframed;
+      transport::append_frame(reframed, frame.type, frame.body);
+      EXPECT_LE(reframed.size(), limit);
+      EXPECT_LE(consumed + reframed.size(), fed);
+      EXPECT_TRUE(std::equal(reframed.begin(), reframed.end(),
+                             bytes.begin() +
+                                 static_cast<std::ptrdiff_t>(consumed)));
+      consumed += reframed.size();
+      ++frames;
+    }
+  }
+  EXPECT_EQ(consumed + parser.buffered_bytes(), bytes.size());
+  if (frames_out != nullptr) *frames_out = frames;
+  return StreamEnd::kClean;
+}
+
+// The frame parser sits in front of every decoder on both ends of the TCP
+// transport. Streams built by append_frame — one per message kind, one of
+// every kind back to back, one frame exactly at the size limit — are fed in
+// seeded random splits after bit flips, truncations, extensions, splices,
+// and length prefixes that lie below the minimum or above the limit. Each
+// must end in kError or in frames that re-frame to the exact stream bytes;
+// a lying length must be refused as soon as its four bytes are in.
+TEST(TransportFuzz, EveryFrameStreamMutationIsRejectedOrReframesExactly) {
+  constexpr std::size_t kMutationsPerStream = 1500;
+  constexpr std::size_t kLimit = 512;
+  tensor::Rng rng(0xF4A3E);
+  const std::vector<ProtocolSeed> messages = protocol_corpus(rng);
+  std::vector<FrameStream> corpus;
+  FrameStream all{"all-kinds", {}, {}};
+  for (const ProtocolSeed& m : messages) {
+    FrameStream one{m.name, {}, {}};
+    add_frame(one, m.type, m.body);
+    corpus.push_back(std::move(one));
+    add_frame(all, m.type, m.body);
+  }
+  corpus.push_back(std::move(all));
+  FrameStream at_limit{"at-limit", {}, {}};
+  add_frame(at_limit, transport::FrameType::kUpload,
+            random_bytes(kLimit - transport::kFrameOverheadBytes, rng));
+  corpus.push_back(std::move(at_limit));
+
+  std::size_t clean = 0;
+  std::size_t errors = 0;
+  for (const FrameStream& seed : corpus) {
+    std::string error;
+    std::size_t frames = 0;
+    ASSERT_EQ(parse_in_splits(seed.bytes, kLimit, rng, &error, &frames),
+              StreamEnd::kClean)
+        << seed.name << ": " << error;
+    ASSERT_EQ(frames, seed.starts.size()) << seed.name;
+    for (std::size_t it = 0; it < kMutationsPerStream; ++it) {
+      std::vector<std::uint8_t> b = seed.bytes;
+      const char* want_error = nullptr;
+      const std::size_t at = seed.starts[rng.uniform_index(seed.starts.size())];
+      switch (rng.uniform_index(5)) {
+        case 0: {  // bit flips
+          const std::size_t flips = 1 + rng.uniform_index(4);
+          for (std::size_t f = 0; f < flips; ++f) {
+            b[rng.uniform_index(b.size())] ^=
+                static_cast<std::uint8_t>(1U << rng.uniform_index(8));
+          }
+          break;
+        }
+        case 1:  // truncation
+          b.resize(rng.uniform_index(b.size()));
+          break;
+        case 2:  // length below the minimum of 5 (type + crc)
+          store_u32le(b, at, static_cast<std::uint32_t>(rng.uniform_index(5)));
+          want_error = "below minimum";
+          break;
+        case 3: {  // length above the limit
+          const std::uint32_t over = static_cast<std::uint32_t>(kLimit - 4 + 1);
+          store_u32le(b, at,
+                      rng.uniform_index(2) == 0
+                          ? over + static_cast<std::uint32_t>(
+                                       rng.uniform_index(16))
+                          : static_cast<std::uint32_t>(
+                                rng.uniform_index(std::uint64_t{1} << 32) |
+                                over));
+          want_error = "exceeds limit";
+          // Refused at the prefix: no body byte has to arrive first.
+          std::string prefix_error;
+          ASSERT_EQ(parse_in_splits(std::span<const std::uint8_t>(
+                                        b.data(), at + 4),
+                                    kLimit, rng, &prefix_error),
+                    StreamEnd::kError)
+              << seed.name << " mutation " << it;
+          break;
+        }
+        default: {  // extension or splice with another stream's tail
+          const auto& other =
+              corpus[rng.uniform_index(corpus.size())].bytes;
+          b.resize(rng.uniform_index(b.size() + 1));
+          const std::size_t from = rng.uniform_index(other.size() + 1);
+          b.insert(b.end(), other.begin() + static_cast<std::ptrdiff_t>(from),
+                   other.end());
+          const std::size_t extra = rng.uniform_index(8);
+          for (std::size_t e = 0; e < extra; ++e) {
+            b.push_back(static_cast<std::uint8_t>(rng.uniform_index(256)));
+          }
+          break;
+        }
+      }
+      std::string error;
+      const StreamEnd end = parse_in_splits(b, kLimit, rng, &error);
+      if (want_error != nullptr) {
+        ASSERT_EQ(end, StreamEnd::kError) << seed.name << " mutation " << it;
+        ASSERT_NE(error.find(want_error), std::string::npos)
+            << seed.name << " mutation " << it << ": " << error;
+      }
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << seed.name << " mutation " << it;
+      ++(end == StreamEnd::kError ? errors : clean);
+    }
+  }
+  EXPECT_GT(clean, 0u);
+  EXPECT_GT(errors, 0u);
 }
 
 }  // namespace

@@ -14,8 +14,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -34,6 +37,7 @@
 #include "transport/server_runtime.hpp"
 #include "wire/crc32c.hpp"
 #include "wire/reader.hpp"
+#include "wire/writer.hpp"
 
 namespace fedbiad {
 namespace {
@@ -221,6 +225,46 @@ TEST(RingBuffer, AllOrNothingWriteAndWraparound) {
   EXPECT_EQ(ring.free_space(), 16u);
 }
 
+// Seeded ops against a std::deque model: writes of every size up to one
+// past capacity (refused whole when they do not fit, wrapping into two
+// copies when they cross the end of storage), and peeks consumed in part.
+TEST(RingBuffer, MatchesDequeModelUnderSeededOps) {
+  tensor::Rng rng(0x121A6B);
+  for (const std::size_t capacity : {1u, 7u, 64u}) {
+    transport::RingBuffer ring(capacity);
+    std::deque<std::uint8_t> model;
+    std::size_t refused = 0;
+    std::size_t wrapped = 0;
+    for (std::size_t op = 0; op < 4000; ++op) {
+      if (rng.uniform_index(2) == 0) {
+        const auto bytes = some_body(rng.uniform_index(capacity + 2), op);
+        const bool fits = bytes.size() <= capacity - model.size();
+        ASSERT_EQ(ring.write(bytes), fits) << capacity << " op " << op;
+        if (fits) {
+          model.insert(model.end(), bytes.begin(), bytes.end());
+        } else {
+          ++refused;
+        }
+      } else {
+        const auto run = ring.peek();
+        ASSERT_EQ(run.empty(), model.empty());
+        ASSERT_LE(run.size(), model.size());
+        if (run.size() < model.size()) ++wrapped;  // contents cross the end
+        ASSERT_TRUE(std::equal(run.begin(), run.end(), model.begin()))
+            << capacity << " op " << op;
+        const std::size_t n = rng.uniform_index(run.size() + 1);
+        ring.consume(n);
+        model.erase(model.begin(),
+                    model.begin() + static_cast<std::ptrdiff_t>(n));
+      }
+      ASSERT_EQ(ring.size(), model.size());
+      ASSERT_EQ(ring.free_space(), capacity - model.size());
+    }
+    EXPECT_GT(refused, 0u) << capacity;
+    if (capacity > 1) EXPECT_GT(wrapped, 0u) << capacity;
+  }
+}
+
 // --- scheduler adapter + deadline timers ----------------------------------
 
 TEST(Scheduler, NextTimeSkipsCancelledAndAdvanceToFiresInOrder) {
@@ -346,6 +390,52 @@ TEST(Protocol, LyingByteRunLengthRejected) {
   bytes[40] = 0xFF;
   bytes[41] |= 0x01;
   EXPECT_THROW(transport::decode_dispatch(bytes), wire::DecodeError);
+}
+
+// The per-version Dispatch body, patched in turn with several headers,
+// equals the encoder's output and the field-by-field Writer layout, for
+// broadcast lengths whose varint prefix takes 1, 2 and 3 bytes.
+TEST(Protocol, DispatchFramePatchedEqualsEncoder) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::vector<transport::DispatchFrame::Header> headers = {
+      {.dispatch_index = 0, .round = 0, .slot = 0, .model_version = 0,
+       .rng_stream = 0},
+      {.dispatch_index = kMax, .round = kMax, .slot = kMax,
+       .model_version = kMax, .rng_stream = kMax},
+      {.dispatch_index = 41, .round = 7, .slot = 3, .model_version = 6,
+       .rng_stream = 0x0123456789ABCDEFULL},
+      {.dispatch_index = kMax, .round = 1, .slot = 0, .model_version = 0,
+       .rng_stream = 0x10029},
+      {.dispatch_index = 0, .round = 0, .slot = 0, .model_version = 0,
+       .rng_stream = 0},
+  };
+  for (const std::size_t len : {0u, 1u, 127u, 128u, 16383u, 16384u, 20000u}) {
+    const auto broadcast = some_body(len, 50 + len);
+    transport::DispatchFrame frame(broadcast);
+    for (const auto& h : headers) {
+      const auto patched = frame.patch(h);
+      const std::vector<std::uint8_t> got(patched.begin(), patched.end());
+      const transport::DispatchMsg msg{.dispatch_index = h.dispatch_index,
+                                       .round = h.round,
+                                       .slot = h.slot,
+                                       .model_version = h.model_version,
+                                       .rng_stream = h.rng_stream,
+                                       .broadcast = broadcast};
+      EXPECT_EQ(got, transport::encode(msg)) << len;
+      wire::Writer w;
+      for (const std::uint64_t v : {h.dispatch_index, h.round, h.slot,
+                                    h.model_version, h.rng_stream}) {
+        w.u64(v);
+      }
+      w.varint(len);
+      w.bytes(broadcast);
+      EXPECT_EQ(got, std::move(w).take()) << len;
+      const auto d = transport::decode_dispatch(got);
+      EXPECT_EQ(d.dispatch_index, h.dispatch_index);
+      EXPECT_EQ(d.rng_stream, h.rng_stream);
+      EXPECT_EQ(d.broadcast, broadcast);
+    }
+  }
 }
 
 // --- loopback: runtimes, parity, chaos ------------------------------------
@@ -977,6 +1067,108 @@ TEST(Tcp, GarbageAndOversizedStreamsAreClosed) {
   ASSERT_EQ(handler.closed.size(), 2u);
   EXPECT_NE(handler.closed[1].second.find("framing error"), std::string::npos);
   ::close(huge_fd);
+}
+
+/// Upper end of the kernel's TCP send-buffer autotuning (tcp_wmem max), or
+/// the common 4 MiB default when the sysctl cannot be read.
+std::size_t tcp_wmem_max() {
+  std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+  std::size_t lo = 0;
+  std::size_t def = 0;
+  std::size_t hi = 0;
+  if (in >> lo >> def >> hi && hi > 0) return hi;
+  return std::size_t{4} << 20;
+}
+
+// A peer that is not reading: the first frame is larger than anything the
+// kernel will buffer, so send() hands over what it can and parks only the
+// remainder; a frame that cannot fit the ring's free space is refused; a
+// small frame queues behind the remainder. Once the peer reads, on_drain
+// fires exactly once (a frame sent from it takes the empty-ring path), and
+// the peer's byte stream is append_frame of each accepted frame in order.
+TEST(Tcp, PartialSendParksRemainderAndDrainsByteExact) {
+  const std::size_t big_body = 2 * tcp_wmem_max() + (1u << 20);
+  transport::TransportLimits limits;
+  limits.send_buffer_bytes = 2 * transport::frame_wire_size(big_body);
+  transport::EpollServerTransport net(limits, 0);
+
+  struct DrainHandler : transport::ServerTransport::Handler {
+    std::vector<SessionId> opened;
+    std::size_t drains = 0;
+    std::function<void(SessionId)> on_drained;
+    void on_open(SessionId s) override { opened.push_back(s); }
+    void on_frame(SessionId, Frame&&) override {}
+    void on_close(SessionId, const std::string&) override {}
+    void on_drain(SessionId s) override {
+      ++drains;
+      if (on_drained) on_drained(s);
+    }
+  };
+  DrainHandler handler;
+  net.set_handler(&handler);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int small = 16 << 10;  // keep the peer's receive window small
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof small), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(net.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  for (int i = 0; i < 200 && handler.opened.empty(); ++i) net.step(0.01);
+  ASSERT_EQ(handler.opened.size(), 1u);
+  const SessionId s = handler.opened[0];
+  const std::size_t capacity = limits.send_buffer_bytes;
+  ASSERT_EQ(net.send_space(s), capacity);
+
+  std::vector<std::uint8_t> want;
+  const auto big = some_body(big_body, 60);
+  ASSERT_TRUE(net.send(s, FrameType::kDispatch, big));
+  transport::append_frame(want, FrameType::kDispatch, big);
+  const std::size_t parked = capacity - net.send_space(s);
+  EXPECT_GT(parked, 0u);
+  EXPECT_LT(parked, transport::frame_wire_size(big_body));
+
+  // One byte more than the free space: refused whole, nothing queued.
+  const std::vector<std::uint8_t> too_big(
+      net.send_space(s) - transport::kFrameOverheadBytes + 1, 0xAB);
+  EXPECT_FALSE(net.send(s, FrameType::kDispatch, too_big));
+  EXPECT_EQ(capacity - net.send_space(s), parked);
+
+  // Queued behind the remainder; the flush it triggers may hand the kernel
+  // a little more if acks freed send-buffer space meanwhile.
+  const auto ack = transport::encode(transport::UploadAckMsg{7});
+  ASSERT_TRUE(net.send(s, FrameType::kUploadAck, ack));
+  transport::append_frame(want, FrameType::kUploadAck, ack);
+  EXPECT_LE(capacity - net.send_space(s),
+            parked + transport::frame_wire_size(ack.size()));
+  EXPECT_GT(capacity - net.send_space(s), 0u);
+
+  const auto fin = transport::encode(transport::FinMsg{3});
+  handler.on_drained = [&](SessionId session) {
+    ASSERT_EQ(net.send_space(session), capacity);
+    ASSERT_TRUE(net.send(session, FrameType::kFin, fin));
+    transport::append_frame(want, FrameType::kFin, fin);
+  };
+
+  std::vector<std::uint8_t> got;
+  std::vector<std::uint8_t> buf(1 << 16);
+  const std::size_t expect_bytes =
+      want.size() + transport::frame_wire_size(fin.size());
+  for (int i = 0; i < 20'000 && got.size() < expect_bytes; ++i) {
+    const ssize_t n = ::recv(fd, buf.data(), buf.size(), MSG_DONTWAIT);
+    if (n > 0) {
+      got.insert(got.end(), buf.begin(), buf.begin() + n);
+    } else {
+      net.step(0.001);
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(handler.drains, 1u);
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want);
 }
 
 }  // namespace
