@@ -1,11 +1,10 @@
 #include "fl/async_simulation.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
-#include <limits>
-#include <map>
 #include <mutex>
 #include <utility>
 
@@ -109,6 +108,12 @@ class EngineRun final : public ServerCore::Driver {
   /// Schedules the charge-and-drop of a duplicate delivery of `dup`.
   void schedule_duplicate(Job& dup, double time);
   void restore(const checkpoint::EngineSnapshot& snap);
+  /// Blocks until every submitted training task's run_client has returned.
+  void wait_for_training();
+  /// Ends a training task on its pool worker, normally or by a throw: the
+  /// replica goes back, then the task leaves the count wait_for_training
+  /// waits on.
+  void retire_task(nn::Model* replica) noexcept;
 
   const SimulationConfig& base_;
   const data::Dataset& train_;
@@ -132,21 +137,22 @@ class EngineRun final : public ServerCore::Driver {
   // steady-state engine memory is O(in-flight), not O(registered).
   ClientRegistry registry_;
   ServerCore core_;
-  std::map<std::size_t, Job*> busy_;  ///< in flight, by ascending client id
-  std::vector<Job*> zombies_;         ///< abandoned while still training
-  bool retry_scheduled_ = false;      ///< one pending availability retry
+  std::vector<Job*> zombies_;     ///< abandoned while still training
+  bool retry_scheduled_ = false;  ///< one pending availability retry
   /// The decoded broadcast of snapshot_version_, shared by every dispatch
   /// of that version.
   std::shared_ptr<const std::vector<float>> snapshot_;
   std::size_t snapshot_version_ = 0;
 
   // The pool is declared after everything its worker tasks reference (the
-  // registry's leased records, the replicas, the free list and its mutex),
-  // so its destructor — which drains queued tasks and joins — runs before
-  // any of them die, even on an exceptional unwind.
+  // registry's leased records, the replicas, the free list and its mutex,
+  // the task count), so its destructor — which drains queued tasks and
+  // joins — runs before any of them die, even on an exceptional unwind.
   std::vector<std::unique_ptr<nn::Model>> replicas_;
   std::vector<nn::Model*> free_replicas_;
   std::mutex replica_mutex_;
+  /// Training tasks submitted whose run_client has not returned yet.
+  std::atomic<std::size_t> training_{0};
   parallel::ThreadPool pool_;
 };
 
@@ -174,28 +180,38 @@ void EngineRun::launch(const ServerCore::Dispatch& d) {
         std::make_shared<const std::vector<float>>(std::move(decoded.values));
     snapshot_version_ = d.version;
   }
+  // The dispatch's one profile lookup: the upload is timed from the
+  // carried link when training completes.
   const netsim::ClientProfile prof = registry_.profile(d.client);
   const double samples = static_cast<double>(std::min<std::size_t>(
       base_.train.batch_size, shard_of(d.client).size()));
+  job.link = prof.link;
   job.download_s = prof.download_seconds(core_.downlink_bytes());
   job.compute_s = prof.compute_seconds(
       static_cast<double>(base_.train.local_iterations) * samples *
       strategy_.compute_cost_multiplier());
   job.snapshot = snapshot_;
-  busy_[d.client] = &job;
   const std::size_t client = d.client;
   const std::size_t round = d.version + 1;
   const tensor::Rng ctx_rng =
       client_rng_base_.split(0x1000 + client).split(d.rng_stream);
   Job* jp = &job;
+  training_.fetch_add(1, std::memory_order_relaxed);
   job.future = pool_.submit([this, jp, client, round, ctx_rng] {
-    nn::Model* replica = nullptr;
+    // Retires the task however it ends, so a throwing run_client reaches
+    // the engine through its future instead of hanging quiesce().
+    struct Retire {
+      EngineRun& run;
+      nn::Model* replica = nullptr;
+      ~Retire() { run.retire_task(replica); }
+    } retire{*this};
     {
       std::scoped_lock lock(replica_mutex_);
       FEDBIAD_CHECK(!free_replicas_.empty(), "replica lease exhausted");
-      replica = free_replicas_.back();
+      retire.replica = free_replicas_.back();
       free_replicas_.pop_back();
     }
+    nn::Model* replica = retire.replica;
     tensor::copy(*jp->snapshot, replica->store().params());
     ClientContext ctx{
         .client_id = client,
@@ -215,10 +231,6 @@ void EngineRun::launch(const ServerCore::Dispatch& d) {
     out.train_seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
     out.client_id = client;
-    {
-      std::scoped_lock lock(replica_mutex_);
-      free_replicas_.push_back(replica);
-    }
     return out;
   }).share();
   job.training_event = sched_.schedule_after(
@@ -233,22 +245,36 @@ void EngineRun::launch(const ServerCore::Dispatch& d) {
   }
 }
 
+void EngineRun::retire_task(nn::Model* replica) noexcept {
+  if (replica != nullptr) {
+    std::scoped_lock lock(replica_mutex_);
+    free_replicas_.push_back(replica);  // within capacity: never allocates
+  }
+  // Only the last task wakes the engine: wait_for_training sleeps until the
+  // count reaches zero, and release ordering publishes run_client's writes
+  // to the hooks that run after it.
+  if (training_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    training_.notify_all();
+  }
+}
+
+void EngineRun::wait_for_training() {
+  for (std::size_t n = training_.load(std::memory_order_acquire); n != 0;
+       n = training_.load(std::memory_order_acquire)) {
+    training_.wait(n, std::memory_order_acquire);
+  }
+}
+
 // A job abandoned before its training event ran still has run_client
 // executing on the pool against job.snapshot. The Strategy contract says
-// server hooks never overlap run_client, so block on such zombies (real
-// time only) and on every in-flight job's training before the core runs a
-// hook; abandoned outcomes are discarded. Barrier hooks only run once the
-// wave drained, so there the busy set is empty.
+// server hooks never overlap run_client, so the core's hooks wait (real
+// time only) until every submitted task — in flight or zombie — has
+// returned from run_client. Then the zombies' records are released;
+// abandoned outcomes are discarded.
 void EngineRun::quiesce() {
-  for (Job* jp : zombies_) {
-    if (jp->future.valid()) jp->future.wait();
-    registry_.release(jp);
-  }
+  wait_for_training();
+  for (Job* jp : zombies_) registry_.release(jp);
   zombies_.clear();
-  for (auto& [client, jp] : busy_) {
-    (void)client;
-    if (jp->future.valid()) jp->future.wait();
-  }
 }
 
 void EngineRun::on_training_done(Job& job) {
@@ -270,8 +296,7 @@ void EngineRun::on_training_done(Job& job) {
   up->download_seconds = job.download_s;
   // Link timing runs on the measured size of the encoded buffer — the
   // payload is what travels, so its byte count is what the uplink carries.
-  up->upload_seconds =
-      registry_.profile(job.client).upload_seconds(out.payload.size());
+  up->upload_seconds = job.link.upload_seconds(out.payload.size());
   up->outcome = std::move(out);
   job.pending = std::move(up);
   job.upload_start = sched_.now();
@@ -332,7 +357,6 @@ void EngineRun::abandon(Job& job, std::uint64_t wasted) {
   job.arrival_event = EventScheduler::kNoEvent;
   job.deadline_event = EventScheduler::kNoEvent;
   job.pending.reset();
-  busy_.erase(client);
   if (!training_live) registry_.release(&job);
   core_.on_abandoned(client, wasted);
 }
@@ -406,7 +430,6 @@ void EngineRun::deliver(Job& job) {
     // intact deliveries, so nothing else can hold this record.
     const std::size_t client = job.client;
     sched_.cancel(job.deadline_event);
-    busy_.erase(client);
     registry_.release(&job);
     core_.on_rejected(client);
     return;
@@ -417,7 +440,6 @@ void EngineRun::deliver(Job& job) {
         job, sched_.now() + fault.duplicate_lag * job.pending->upload_seconds);
   }
   job.pending->arrival_clock = sched_.now();
-  busy_.erase(job.client);
   on_arrival(job);
 }
 
@@ -465,12 +487,7 @@ void EngineRun::on_arrival(Job& job) {
 
 void EngineRun::starved() {
   if (retry_scheduled_) return;
-  double t = std::numeric_limits<double>::infinity();
-  for (const std::size_t k : populated_) {
-    if (busy_.find(k) == busy_.end()) {
-      t = std::min(t, hooks_->next_available_time(k, sched_.now()));
-    }
-  }
+  const double t = core_.next_available_time();
   // The core only starves when nobody is available *now*, so a correct
   // hook returns a strictly later time — anything else would spin the
   // virtual clock in place.
@@ -484,11 +501,10 @@ void EngineRun::starved() {
 }
 
 // Adds the engine's live state to a commit-boundary snapshot. At that point
-// zombies are drained and every in-flight job's real computation is done
-// (async commits block on busy futures; barrier commits only run after the
-// wave drained). What remains — in-flight outcomes and the pending timeline
-// — is serialized; events are stored sorted by their original scheduler id
-// so resume reproduces the equal-time tie-break.
+// zombies are drained and every in-flight job's run_client has returned
+// (commits quiesce first). What remains — in-flight outcomes and the
+// pending timeline — is serialized; events are stored sorted by their
+// original scheduler id so resume reproduces the equal-time tie-break.
 void EngineRun::add_to_snapshot(checkpoint::EngineSnapshot& snap) {
   FEDBIAD_CHECK(zombies_.empty() && !retry_scheduled_,
                 "checkpoint outside a quiescent commit boundary");
@@ -498,9 +514,23 @@ void EngineRun::add_to_snapshot(checkpoint::EngineSnapshot& snap) {
     checkpoint::EventSnapshot ev;
   };
   std::vector<PendingEvent> events;
-  for (const auto& [client, jp] : busy_) {
-    (void)client;
-    if (jp->future.valid()) jp->future.wait();
+  // With zombies drained, every active lease is either an unresolved
+  // dispatch or a resolved one kept only for its pending duplicate
+  // delivery — dormant clients have no record and are never serialized.
+  // Jobs are stored by ascending client id (a client is in flight at most
+  // once).
+  std::vector<Job*> in_flight;
+  registry_.for_each_active([&](Job& job) {
+    if (job.duplicate_event != EventScheduler::kNoEvent) {
+      events.push_back({job.duplicate_event,
+                        {checkpoint::EventKind::kDuplicate, checkpoint::kNoJob,
+                         job.duplicate_time, job.framed_bytes}});
+    }
+    if (!job.release_on_duplicate) in_flight.push_back(&job);
+  });
+  std::sort(in_flight.begin(), in_flight.end(),
+            [](const Job* a, const Job* b) { return a->client < b->client; });
+  for (const Job* jp : in_flight) {
     const std::uint64_t index = snap.jobs.size();
     checkpoint::JobSnapshot js;
     js.client = jp->client;
@@ -542,17 +572,6 @@ void EngineRun::add_to_snapshot(checkpoint::EngineSnapshot& snap) {
                          jp->dispatch_clock + deadline_, 0}});
     }
   }
-  // Duplicate deliveries outlive their dispatch's resolution; their records
-  // stay leased (release deferred to the duplicate handler), so scanning
-  // the active leases finds exactly them — dormant clients have no record
-  // at all and are never serialized.
-  registry_.for_each_active([&](Job& job) {
-    if (job.duplicate_event != EventScheduler::kNoEvent) {
-      events.push_back({job.duplicate_event,
-                        {checkpoint::EventKind::kDuplicate, checkpoint::kNoJob,
-                         job.duplicate_time, job.framed_bytes}});
-    }
-  });
   FEDBIAD_CHECK(events.size() == sched_.pending(),
                 "checkpoint lost track of pending events");
   std::sort(events.begin(), events.end(),
@@ -588,6 +607,9 @@ void EngineRun::restore(const checkpoint::EngineSnapshot& snap) {
     job.upload_start = js.upload_start;
     job.churn_fails = js.churn_fails;
     job.churn_fraction = js.churn_fraction;
+    // The same lookup launch() made: a restored job times its upload from
+    // the carried link whether or not its training event already ran.
+    job.link = registry_.profile(job.client).link;
     ClientOutcome out;
     out.client_id = job.client;
     out.samples = static_cast<std::size_t>(js.samples);
@@ -603,8 +625,7 @@ void EngineRun::restore(const checkpoint::EngineSnapshot& snap) {
       up->dispatch_clock = job.dispatch_clock;
       up->compute_seconds = job.compute_s;
       up->download_seconds = job.download_s;
-      up->upload_seconds =
-          registry_.profile(job.client).upload_seconds(out.payload.size());
+      up->upload_seconds = job.link.upload_seconds(out.payload.size());
       up->outcome = std::move(out);
       job.pending = std::move(up);
     } else {
@@ -615,7 +636,6 @@ void EngineRun::restore(const checkpoint::EngineSnapshot& snap) {
       ready.set_value(std::move(out));
       job.future = ready.get_future().share();
     }
-    busy_[job.client] = &job;
   }
   for (const checkpoint::EventSnapshot& ev : snap.events) {
     if (ev.job_index != checkpoint::kNoJob) {
@@ -671,9 +691,7 @@ SimulationResult EngineRun::run() {
   while (!core_.done() && sched_.run_next()) {
   }
   FEDBIAD_CHECK(core_.done(), "event queue drained early");
-  registry_.for_each_active([](Job& job) {
-    if (job.future.valid()) job.future.wait();
-  });
+  wait_for_training();
   SimulationResult result = core_.take_result();
   result.peak_in_flight_states = registry_.peak_active();
   result.materialized_states = registry_.materialized();

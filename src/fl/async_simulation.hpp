@@ -34,7 +34,11 @@
 // Commits quiesce outstanding training (real time only — the virtual
 // timeline is unaffected) before invoking begin_round/end_round,
 // preserving the Strategy contract that server hooks never overlap
-// run_client.
+// run_client. The quiesce waits on one atomic count of submitted training
+// tasks, which each task decrements from a scope guard once run_client has
+// returned (or thrown) and its model replica is back; then the records of
+// dispatches abandoned mid-training are released. It never walks the
+// in-flight set, and the end of run() waits on the same count.
 #pragma once
 
 #include <memory>

@@ -76,26 +76,17 @@ netsim::ClientProfile ClientRegistry::profile(std::size_t client) {
     // an isolated split; nothing else reads it).
     return base_profile_;
   }
-  if (memo_valid_ && memo_client_ == client) return memo_profile_;
-  // Extend the stride snapshots up to the requested client. Skipped
-  // profiles are drawn and discarded — draw_profile's fixed three-draw
-  // budget is what makes the replay exact.
-  while (next_ <= client) {
-    if (next_ % kProfileStride == 0) {
-      stride_states_.push_back(profile_cursor_.state());
-    }
-    (void)netsim::draw_profile(heterogeneity_, base_link_, profile_cursor_);
-    ++next_;
+  // Skipped profiles are never computed: draw_profile's fixed raw-draw
+  // budget makes skipping a client exactly discard(kProfileDraws).
+  const std::size_t stride = client / kProfileStride;
+  while (stride_states_.size() <= stride) {
+    stride_states_.push_back(profile_cursor_.state());
+    profile_cursor_.discard(netsim::kProfileDraws * kProfileStride);
   }
   tensor::Rng replay;
-  replay.set_state(stride_states_[client / kProfileStride]);
-  for (std::size_t i = client - client % kProfileStride; i < client; ++i) {
-    (void)netsim::draw_profile(heterogeneity_, base_link_, replay);
-  }
-  memo_client_ = client;
-  memo_profile_ = netsim::draw_profile(heterogeneity_, base_link_, replay);
-  memo_valid_ = true;
-  return memo_profile_;
+  replay.set_state(stride_states_[stride]);
+  replay.discard(netsim::kProfileDraws * (client % kProfileStride));
+  return netsim::draw_profile(heterogeneity_, base_link_, replay);
 }
 
 ClientState* ClientRegistry::acquire() {
@@ -104,7 +95,6 @@ ClientState* ClientRegistry::acquire() {
     slot = pool_.size();
     pool_.emplace_back();
     in_use_.push_back(true);
-    slot_of_[&pool_[slot]] = slot;  // deque addresses are stable
   } else {
     slot = free_.back();
     free_.pop_back();
@@ -112,14 +102,15 @@ ClientState* ClientRegistry::acquire() {
   }
   ++active_;
   peak_active_ = std::max(peak_active_, active_);
-  return &pool_[slot];
+  ClientState* state = &pool_[slot];  // deque addresses are stable
+  state->lease = slot;
+  return state;
 }
 
 void ClientRegistry::release(ClientState* state) {
-  const auto it = slot_of_.find(state);
-  FEDBIAD_CHECK(it != slot_of_.end() && in_use_[it->second],
+  const std::size_t slot = state != nullptr ? state->lease : pool_.size();
+  FEDBIAD_CHECK(slot < pool_.size() && in_use_[slot] && &pool_[slot] == state,
                 "released a state the registry does not own");
-  const std::size_t slot = it->second;
   *state = ClientState{};  // recycled leases are indistinguishable from fresh
   in_use_[slot] = false;
   free_.push_back(slot);

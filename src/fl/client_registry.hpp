@@ -8,21 +8,30 @@
 //
 // ClientRegistry replaces them with O(active) state:
 //
-//   profiles   are materialized lazily. draw_profile consumes exactly three
-//              uniforms per client (the contract documented in
-//              netsim/client_profile.hpp), so client i's profile is a pure
-//              function of the profile stream advanced 3·i draws. The
-//              registry snapshots the stream every kProfileStride clients
-//              (only as far as it has ever been asked to look) and replays
-//              at most a stride per lookup; a homogeneous config needs no
-//              draws at all — every profile is exactly the base profile,
-//              the same floats make_profiles would have produced, because
+//   profiles   are materialized lazily. draw_profile consumes exactly
+//              netsim::kProfileDraws raw draws per client (the contract
+//              documented in netsim/client_profile.hpp), so client i's
+//              profile is a pure function of the profile stream advanced
+//              kProfileDraws·i draws. The registry snapshots the stream every
+//              kProfileStride clients (only as far as it has ever been asked
+//              to look). A lookup restores its stride's snapshot, skips the
+//              clients before it in that stride with Rng::discard — raw
+//              next_u64 steps, no profile math — and draws exactly one
+//              profile. A homogeneous config needs no draws at all: every
+//              profile is exactly the base profile, the same floats
+//              make_profiles would have produced, because
 //              exp(u·log 1) == 1 exactly for every u.
 //
 //   ClientState (the engine's per-dispatch record, the old Job struct) is
 //              pooled: acquire() hands out a recycled, value-initialized
 //              record with a stable address, release() reclaims it. Peak
-//              pool size tracks peak concurrency, not total dispatches.
+//              pool size tracks peak concurrency, not total dispatches. The
+//              record carries its own pool index (`lease`), so release is a
+//              bounds-and-identity check, not a lookup. The engine looks a
+//              client's profile up once per dispatch and carries its link
+//              on the record (`link`): the upload is timed from it when
+//              training completes, and a resumed record gets it from the
+//              same lookup.
 //
 //   IdleSet    answers "the j-th smallest idle populated position" — the
 //              order statistic behind the engine's replacement draws —
@@ -36,7 +45,6 @@
 #include <deque>
 #include <future>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "fl/async_simulation.hpp"
@@ -51,12 +59,18 @@ namespace fedbiad::fl {
 /// tasks hold ClientState* across engine steps, so addresses are stable
 /// for the lifetime of the lease.
 struct ClientState {
+  /// This record's index in the registry's pool: set by acquire(), checked
+  /// by release(). Engine code never writes it.
+  std::size_t lease = 0;
   std::size_t client = 0;
   std::size_t slot = 0;
   std::size_t version = 0;
   double dispatch_clock = 0.0;
   double download_s = 0.0;
   double compute_s = 0.0;
+  /// The client's link from its profile, looked up once at dispatch: the
+  /// upload is timed from it when training completes.
+  netsim::LinkModel link;
   /// Global params at dispatch — shared by every dispatch of the same
   /// version (the global only changes at commits, so one copy per version).
   std::shared_ptr<const std::vector<float>> snapshot;
@@ -124,7 +138,7 @@ class IdleSet {
 class ClientRegistry {
  public:
   /// Profile stream snapshots are taken every this many clients: a lookup
-  /// replays at most kProfileStride - 1 skipped profiles (3 draws each).
+  /// discards at most kProfileStride - 1 skipped profiles' raw draws.
   static constexpr std::size_t kProfileStride = 512;
 
   /// `profile_rng` must be the same split the eager engine fed to
@@ -148,7 +162,7 @@ class ClientRegistry {
   /// Returns a lease to the pool. The record is reset to a fresh
   /// ClientState immediately — a recycled lease is indistinguishable from a
   /// never-used one. The caller must guarantee no event or task still
-  /// dereferences it.
+  /// dereferences it. Checks that `state` is a leased record of this pool.
   void release(ClientState* state);
 
   /// Invokes fn(ClientState&) for every currently leased record, in lease-
@@ -180,18 +194,15 @@ class ClientRegistry {
   netsim::LinkModel base_link_;
   bool homogeneous_;
   netsim::ClientProfile base_profile_;  ///< the homogeneous fast path
-  tensor::Rng profile_cursor_;          ///< positioned after client next_
-  std::size_t next_ = 0;                ///< clients the cursor has consumed
+  /// Positioned at the start of stride stride_states_.size(); snapshot k is
+  /// the stream at client k·kProfileStride.
+  tensor::Rng profile_cursor_;
   std::vector<tensor::Rng::State> stride_states_;
-  std::size_t memo_client_ = 0;  ///< one-entry memo (hot repeat lookups)
-  netsim::ClientProfile memo_profile_;
-  bool memo_valid_ = false;
 
   // ClientState pool. std::deque keeps addresses stable across growth.
   std::deque<ClientState> pool_;
   std::vector<bool> in_use_;
   std::vector<std::size_t> free_;
-  std::unordered_map<const ClientState*, std::size_t> slot_of_;
   std::size_t active_ = 0;
   std::size_t peak_active_ = 0;
 };

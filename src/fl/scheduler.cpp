@@ -14,6 +14,7 @@ EventScheduler::EventId EventScheduler::schedule_at(double time, Callback cb) {
   const EventId id = next_id_++;
   heap_.push_back(Event{time, id, std::move(cb)});
   std::push_heap(heap_.begin(), heap_.end(), later);
+  live_.insert(id);
   return id;
 }
 
@@ -24,14 +25,9 @@ EventScheduler::EventId EventScheduler::schedule_after(double delay,
 }
 
 bool EventScheduler::cancel(EventId id) {
-  if (id == kNoEvent || id >= next_id_) return false;
-  // Only ids still sitting in the heap may enter the cancelled set —
-  // otherwise pending() would undercount forever.
-  const bool live = std::any_of(
-      heap_.begin(), heap_.end(),
-      [id](const Event& ev) { return ev.id == id; });
-  if (!live) return false;
-  return cancelled_.insert(id).second;
+  // kNoEvent, never-issued, already-run and already-cancelled ids are all
+  // absent from the live set.
+  return live_.erase(id) > 0;
 }
 
 bool EventScheduler::run_next() {
@@ -39,7 +35,7 @@ bool EventScheduler::run_next() {
     std::pop_heap(heap_.begin(), heap_.end(), later);
     Event ev = std::move(heap_.back());
     heap_.pop_back();
-    if (cancelled_.erase(ev.id) > 0) continue;  // dropped, clock untouched
+    if (live_.erase(ev.id) == 0) continue;  // cancelled: clock untouched
     now_ = ev.time;
     ev.cb();
     return true;
@@ -55,7 +51,7 @@ void EventScheduler::run() {
 double EventScheduler::next_time() {
   while (!heap_.empty()) {
     const Event& top = heap_.front();
-    if (cancelled_.erase(top.id) == 0) return top.time;
+    if (live_.contains(top.id)) return top.time;
     std::pop_heap(heap_.begin(), heap_.end(), later);
     heap_.pop_back();
   }

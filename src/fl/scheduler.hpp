@@ -12,8 +12,10 @@
 // cancelled when the upload arrives in time, and an arrival event is
 // never scheduled for a client that churned away — so races between
 // "arrived" and "abandoned" are resolved once, at scheduling time, not
-// re-litigated in every callback. Cancelled events are dropped lazily at
-// pop; they never advance the clock.
+// re-litigated in every callback. The scheduler keeps the set of live ids
+// (scheduled, not yet run or cancelled), so cancel() is one hash erase;
+// cancelled events stay in the heap until they surface and are dropped
+// there — they never advance the clock.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +36,7 @@ class EventScheduler {
   [[nodiscard]] double now() const noexcept { return now_; }
 
   /// Number of events not yet executed (cancelled events excluded).
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() - cancelled_.size();
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return live_.size(); }
 
   [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
 
@@ -96,8 +96,8 @@ class EventScheduler {
     return a.id > b.id;
   }
 
-  std::vector<Event> heap_;
-  std::unordered_set<EventId> cancelled_;  ///< pending-but-cancelled ids
+  std::vector<Event> heap_;  ///< live and not-yet-dropped cancelled events
+  std::unordered_set<EventId> live_;  ///< scheduled, neither run nor cancelled
   double now_ = 0.0;
   EventId next_id_ = 1;  ///< 0 is kNoEvent
 };

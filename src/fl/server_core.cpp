@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -193,6 +194,18 @@ std::vector<std::size_t> ServerCore::available_clients() const {
     }
   }
   return out;
+}
+
+double ServerCore::next_available_time() const {
+  FEDBIAD_CHECK(cfg_.hooks != nullptr, "availability needs scenario hooks");
+  double t = std::numeric_limits<double>::infinity();
+  const double now = driver_.now();
+  for (std::size_t i = 0; i < populated_.size(); ++i) {
+    if (idle_.is_idle(i)) {
+      t = std::min(t, cfg_.hooks->next_available_time(populated_[i], now));
+    }
+  }
+  return t;
 }
 
 void ServerCore::dispatch(std::size_t client, std::size_t slot,

@@ -98,8 +98,11 @@ class ServerCore {
     [[nodiscard]] virtual double now() const = 0;
     /// Returns once no client work overlaps the strategy's server hooks.
     /// Called before every commit and before a barrier wave's begin_round.
+    /// The in-process engine waits here on one atomic count of its
+    /// outstanding training tasks.
     virtual void quiesce() {}
-    /// Nobody is available to select now: arrange a later retry().
+    /// Nobody is available to select now: arrange a later retry(), e.g. at
+    /// next_available_time().
     virtual void starved() {}
     /// Adds the driver's own state — clock, in-flight jobs, pending
     /// events — to a commit-boundary snapshot before it is written.
@@ -128,6 +131,11 @@ class ServerCore {
 
   /// Re-attempts the selection a starved() call gave up on.
   void retry();
+
+  /// The earliest time at or after now() at which the scenario makes an
+  /// idle populated client available; +infinity when none ever is. Needs
+  /// EngineHooks; drivers call it from starved() to time their retry().
+  [[nodiscard]] double next_available_time() const;
 
   // Dispatch resolutions and delivery charges (see the file comment).
   void on_upload(PendingUpdate up);

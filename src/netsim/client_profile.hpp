@@ -66,11 +66,16 @@ struct HeterogeneityConfig {
 /// enforces the same invariants.
 void check_heterogeneity(const HeterogeneityConfig& cfg);
 
-/// Draws one client profile, consuming exactly three uniforms from `rng`
-/// regardless of the config — the fixed draw budget is the determinism
-/// contract that lets a lazy materializer (fl::ClientRegistry) reconstruct
-/// client i's profile from a saved stream state without drawing the i-1
-/// profiles before it. make_profiles is a loop over this function.
+/// Raw next_u64 draws one draw_profile call consumes: three uniforms, one
+/// raw draw each.
+inline constexpr std::uint64_t kProfileDraws = 3;
+
+/// Draws one client profile, consuming exactly kProfileDraws raw draws from
+/// `rng` regardless of the config — the fixed draw budget is the
+/// determinism contract that lets a lazy materializer (fl::ClientRegistry)
+/// reconstruct client i's profile from a saved stream state by discarding
+/// kProfileDraws·i draws instead of drawing the profiles before it.
+/// make_profiles is a loop over this function.
 ClientProfile draw_profile(const HeterogeneityConfig& cfg,
                            const LinkModel& base, tensor::Rng& rng);
 

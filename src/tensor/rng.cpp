@@ -52,6 +52,10 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
+void Rng::discard(std::uint64_t n) {
+  for (; n > 0; --n) (void)next_u64();
+}
+
 double Rng::uniform() {
   // 53 high bits → uniform double in [0, 1).
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

@@ -31,6 +31,11 @@ class Rng {
   /// Raw 64 uniform bits.
   std::uint64_t next_u64();
 
+  /// Advances the stream by `n` next_u64() draws without producing them.
+  /// uniform() consumes exactly one raw draw, so a fixed-budget consumer
+  /// (netsim::draw_profile: three uniforms) can be skipped bit-exactly.
+  void discard(std::uint64_t n);
+
   // UniformRandomBitGenerator interface (usable with <random> adaptors).
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }

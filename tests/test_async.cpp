@@ -1,10 +1,21 @@
 // Tests for the event-driven engine: the virtual-clock scheduler, per-client
 // heterogeneity profiles, determinism across seeds/thread counts/engines,
-// barrier-mode bit-equivalence with the legacy sync Simulation, and the
-// staleness-aware aggregation modes.
+// barrier-mode bit-equivalence with the legacy sync Simulation, the
+// staleness-aware aggregation modes, and the quiesce contract (server hooks
+// never overlap run_client; a throwing client fails the run, never hangs it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "baselines/afd.hpp"
@@ -14,6 +25,7 @@
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
 #include "fl/async_simulation.hpp"
+#include "fl/engine_hooks.hpp"
 #include "fl/scheduler.hpp"
 #include "fl/simulation.hpp"
 #include "netsim/client_profile.hpp"
@@ -409,6 +421,184 @@ TEST(AsyncConfig, SimTimeToAccuracyUsesVirtualClock) {
   const auto tta = r.sim_time_to_accuracy(0.0, false);
   ASSERT_TRUE(tta.has_value());
   EXPECT_EQ(*tta, r.rounds.front().clock_seconds);
+}
+
+// --- The quiesce contract ------------------------------------------------
+
+// Forwards every virtual to an inner strategy and counts run_client calls in
+// flight. A begin_round or end_round that starts while a client still trains
+// breaks the contract Driver::quiesce exists for; the probe counts those.
+// With `thrower` set, that client's run_client throws instead of training.
+class OverlapProbe final : public Strategy {
+ public:
+  explicit OverlapProbe(StrategyPtr inner,
+                        std::optional<std::size_t> thrower = std::nullopt)
+      : inner_(std::move(inner)), thrower_(thrower) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  ClientOutcome run_client(ClientContext& ctx) override {
+    running_.fetch_add(1);
+    struct Leave {
+      std::atomic<std::size_t>& n;
+      ~Leave() { n.fetch_sub(1); }
+    } leave{running_};
+    // Long enough that an unquiesced hook lands inside some client.
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    if (thrower_ == ctx.client_id) throw std::runtime_error("client crashed");
+    return inner_->run_client(ctx);
+  }
+  [[nodiscard]] wire::CompactUpdate decode_payload_compact(
+      const nn::ParameterStore& layout,
+      const wire::Payload& payload) const override {
+    return inner_->decode_payload_compact(layout, payload);
+  }
+  void begin_round(std::size_t round,
+                   std::span<const float> global_params) override {
+    enter_hook();
+    inner_->begin_round(round, global_params);
+  }
+  void end_round(std::size_t round, std::span<const float> old_global,
+                 std::span<const float> new_global) override {
+    enter_hook();
+    inner_->end_round(round, old_global, new_global);
+  }
+  [[nodiscard]] AggregationRule aggregation_rule() const override {
+    return inner_->aggregation_rule();
+  }
+  [[nodiscard]] std::uint64_t downlink_bytes(
+      std::size_t param_count) const override {
+    return inner_->downlink_bytes(param_count);
+  }
+  [[nodiscard]] double compute_cost_multiplier() const override {
+    return inner_->compute_cost_multiplier();
+  }
+  [[nodiscard]] std::vector<std::uint8_t> save_state() const override {
+    return inner_->save_state();
+  }
+  void load_state(std::span<const std::uint8_t> bytes) override {
+    inner_->load_state(bytes);
+  }
+
+  [[nodiscard]] std::size_t hooks() const { return hooks_; }
+  [[nodiscard]] std::size_t overlaps() const { return overlaps_; }
+
+ private:
+  void enter_hook() {
+    ++hooks_;
+    if (running_.load() != 0) ++overlaps_;
+  }
+
+  StrategyPtr inner_;
+  std::optional<std::size_t> thrower_;
+  std::atomic<std::size_t> running_{0};
+  std::size_t hooks_ = 0;  // engine thread only
+  std::size_t overlaps_ = 0;
+};
+
+// Everyone available; every fourth dispatch churns halfway through its
+// timeline, and a deadline cuts the slow devices off before their training
+// event — those dispatches are abandoned while run_client still executes.
+struct ZombieHooks final : EngineHooks {
+  bool client_available(std::size_t, double) override { return true; }
+  [[nodiscard]] bool always_available() const override { return true; }
+  double next_available_time(std::size_t, double now) override { return now; }
+  ChurnDecision churn(std::size_t, std::size_t seq) override {
+    return {.fails = seq % 4 == 3, .fraction = 0.5};
+  }
+  [[nodiscard]] double deadline_seconds() const override { return 0.06; }
+  [[nodiscard]] double over_selection() const override { return 1.0; }
+};
+
+SimulationResult run_probe(AggregationMode mode,
+                           const std::shared_ptr<OverlapProbe>& probe,
+                           std::shared_ptr<EngineHooks> hooks = nullptr,
+                           double selection_fraction = 0.5) {
+  EngineScenario sc = make_engine_scenario(4);
+  sc.sim.rounds = 10;
+  sc.sim.selection_fraction = selection_fraction;
+  AsyncSimulationConfig cfg;
+  cfg.base = sc.sim;
+  cfg.mode = mode;
+  cfg.buffer_size = 2;
+  cfg.heterogeneity = stressed_fleet();
+  cfg.hooks = std::move(hooks);
+  AsyncSimulation sim(cfg, sc.factory, sc.train, sc.test, sc.partition,
+                      probe);
+  return sim.run();
+}
+
+// Runs `fn` on its own thread and returns (or rethrows) its result; a call
+// still running after `limit` aborts the test binary, so a hang fails loudly
+// instead of stalling the suite.
+void within(std::chrono::seconds limit, const std::function<void()>& fn) {
+  std::packaged_task<void()> task(fn);
+  std::future<void> done = task.get_future();
+  std::thread runner(std::move(task));
+  if (done.wait_for(limit) == std::future_status::timeout) {
+    std::fprintf(stderr, "engine run hung past %llds\n",
+                 static_cast<long long>(limit.count()));
+    std::abort();
+  }
+  runner.join();
+  done.get();
+}
+
+TEST(Quiesce, ServerHooksNeverOverlapRunClient) {
+  for (const auto mode :
+       {AggregationMode::kFedAsync, AggregationMode::kBufferedK}) {
+    auto probe = std::make_shared<OverlapProbe>(
+        std::make_shared<baselines::AfdStrategy>(0.5));
+    const auto r = run_probe(mode, probe);
+    EXPECT_EQ(r.rounds.size(), 10u) << to_string(mode);
+    EXPECT_GT(probe->hooks(), 10u) << to_string(mode);
+    EXPECT_EQ(probe->overlaps(), 0u) << to_string(mode);
+  }
+}
+
+TEST(Quiesce, ZombiesFinishBeforeServerHooks) {
+  for (const auto mode :
+       {AggregationMode::kFedAsync, AggregationMode::kBufferedK}) {
+    auto probe = std::make_shared<OverlapProbe>(
+        std::make_shared<baselines::AfdStrategy>(0.5));
+    const auto r = run_probe(mode, probe, std::make_shared<ZombieHooks>());
+    EXPECT_EQ(r.rounds.size(), 10u) << to_string(mode);
+    EXPECT_GT(r.total_abandoned, 0u) << to_string(mode);
+    // Three clients are in flight at once; a fourth record can only be
+    // leased while an abandoned dispatch still trains (a zombie) — no
+    // faults here, so no record is kept for a duplicate delivery.
+    EXPECT_GT(r.peak_in_flight_states, 3u) << to_string(mode);
+    EXPECT_EQ(probe->overlaps(), 0u) << to_string(mode);
+  }
+}
+
+// All six clients are in flight from the start and the slowest device's
+// run_client throws. Faster clients arrive and commit first, so each of
+// those commits quiesces while the failed task is still counted — a task
+// that left the count only on success would hang it — and the engine
+// thread then reaches the failed outcome and rethrows it out of run().
+TEST(Quiesce, ThrowingClientFailsTheRunInsteadOfHanging) {
+  // The engine draws client i's profile from this split of the run seed.
+  const auto profiles = netsim::make_profiles(
+      6, stressed_fleet(), SimulationConfig{}.link,
+      tensor::Rng(make_engine_scenario(1).sim.seed).split(0xA11C));
+  const auto slowest = static_cast<std::size_t>(
+      std::max_element(profiles.begin(), profiles.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.compute_multiplier < b.compute_multiplier;
+                       }) -
+      profiles.begin());
+  for (const auto mode :
+       {AggregationMode::kFedAsync, AggregationMode::kBufferedK}) {
+    auto probe = std::make_shared<OverlapProbe>(
+        std::make_shared<baselines::FedAvgStrategy>(), slowest);
+    EXPECT_THROW(within(std::chrono::seconds(120),
+                        [&] {
+                          (void)run_probe(mode, probe, nullptr,
+                                          /*selection_fraction=*/1.0);
+                        }),
+                 std::runtime_error)
+        << to_string(mode);
+  }
 }
 
 }  // namespace

@@ -634,8 +634,8 @@ void expect_same_profile(const netsim::ClientProfile& a,
 }
 
 TEST(ClientRegistry, LazyProfilesMatchMakeProfilesInAnyAccessOrder) {
-  // Span several profile strides so lookups hit the replay path, the memo,
-  // and backward jumps across stride snapshots.
+  // Span several profile strides so lookups hit the replay path, repeated
+  // clients, and backward jumps across stride snapshots.
   const std::size_t population = 3 * fl::ClientRegistry::kProfileStride + 77;
   const auto fleet = stressed_fleet();
   const netsim::LinkModel base{.down_mbps = 80.0, .up_mbps = 10.0};
@@ -646,11 +646,26 @@ TEST(ClientRegistry, LazyProfilesMatchMakeProfilesInAnyAccessOrder) {
   tensor::Rng order(17);
   std::vector<std::size_t> probes{population - 1, 0, population / 2, 0,
                                   population - 1};
+  // Both sides of every stride snapshot: the last client a snapshot's
+  // replay reaches, the snapshot itself, and the first one it discards for.
+  constexpr std::size_t kStride = fl::ClientRegistry::kProfileStride;
+  for (std::size_t k = 1; k <= 3; ++k) {
+    for (const std::size_t c : {k * kStride - 1, k * kStride, k * kStride + 1}) {
+      probes.push_back(c);
+    }
+  }
   for (std::size_t i = 0; i < 200; ++i) {
     probes.push_back(order.uniform_index(population));
   }
   for (const std::size_t c : probes) {
     expect_same_profile(registry.profile(c), eager[c], c);
+  }
+  // A fresh registry whose first lookup lies strides beyond its cursor, then
+  // walks back across the snapshots that lookup laid down.
+  fl::ClientRegistry far(population, fleet, base, profile_rng);
+  for (const std::size_t c : {3 * kStride + 1, kStride, kStride - 1,
+                              2 * kStride + 1, std::size_t{0}}) {
+    expect_same_profile(far.profile(c), eager[c], c);
   }
 }
 

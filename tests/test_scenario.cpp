@@ -12,6 +12,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,6 +103,80 @@ TEST(SchedulerCancel, SimultaneousTimestampEventStorm) {
     if (i % 3 != 0) expect.push_back(i);
   }
   EXPECT_EQ(order, expect);
+}
+
+// A seeded random mix of schedule / cancel / run_next / next_time checked
+// against a plain reference model: a map of live events by (time, id). The
+// cancel targets mix live ids with kNoEvent, already-run, already-cancelled
+// and not-yet-issued ids, and pending() must match the model exactly after
+// every operation.
+TEST(SchedulerCancel, RandomOperationsMatchReferenceModel) {
+  using Id = fl::EventScheduler::EventId;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    fl::EventScheduler sched;
+    tensor::Rng rng(seed);
+    std::set<std::pair<double, Id>> model;  // live events by (time, id)
+    std::vector<Id> issued;                 // ids in scheduling order
+    std::vector<std::size_t> ran;           // indices into `issued`
+    auto live = [&](Id id) {
+      return std::any_of(model.begin(), model.end(),
+                         [id](const auto& ev) { return ev.second == id; });
+    };
+    for (int step = 0; step < 4000; ++step) {
+      const double op = rng.uniform();
+      if (op < 0.4) {
+        // Few distinct offsets, so equal-time ties are common.
+        const double t =
+            sched.now() + 0.5 * static_cast<double>(rng.uniform_index(4));
+        const std::size_t index = issued.size();
+        const Id id = sched.schedule_at(t, [&ran, index] {
+          ran.push_back(index);
+        });
+        model.emplace(t, id);
+        issued.push_back(id);
+      } else if (op < 0.65) {
+        // Half the targets are live; the rest are mostly stale ids (run or
+        // cancelled), plus kNoEvent and ids not issued yet.
+        Id target = fl::EventScheduler::kNoEvent;
+        const std::uint64_t pick = rng.uniform_index(8);
+        if (pick >= 4 && !model.empty()) {
+          target = std::next(model.begin(),
+                             static_cast<std::ptrdiff_t>(
+                                 rng.uniform_index(model.size())))
+                       ->second;
+        } else if (pick == 1 && !issued.empty()) {
+          target = issued.back() + 1 + rng.uniform_index(3);  // not issued yet
+        } else if (pick > 1 && !issued.empty()) {
+          target = issued[rng.uniform_index(issued.size())];
+        }
+        const bool expect = live(target);
+        EXPECT_EQ(sched.cancel(target), expect) << "id " << target;
+        std::erase_if(model,
+                      [target](const auto& ev) { return ev.second == target; });
+      } else if (op < 0.9) {
+        const bool expect = !model.empty();
+        ASSERT_EQ(sched.run_next(), expect);
+        if (expect) {
+          const auto [t, id] = *model.begin();
+          model.erase(model.begin());
+          ASSERT_FALSE(ran.empty());
+          EXPECT_EQ(issued[ran.back()], id);
+          EXPECT_EQ(sched.now(), t);
+        }
+      } else {
+        const double expect = model.empty()
+                                  ? std::numeric_limits<double>::infinity()
+                                  : model.begin()->first;
+        EXPECT_EQ(sched.next_time(), expect);
+      }
+      ASSERT_EQ(sched.pending(), model.size()) << "step " << step;
+      ASSERT_EQ(sched.empty(), model.empty());
+    }
+    const std::size_t before = ran.size();
+    sched.run();
+    EXPECT_EQ(ran.size() - before, model.size());
+    EXPECT_EQ(sched.pending(), 0u);
+  }
 }
 
 // --- JSON reader ----------------------------------------------------------

@@ -234,6 +234,24 @@ TEST(Rng, DifferentSeedsDiffer) {
   EXPECT_EQ(same, 0);
 }
 
+// discard(n) is the registry's profile-replay primitive: it must leave the
+// exact state n next_u64() calls leave, cached normal deviate included.
+TEST(Rng, DiscardMatchesRepeatedNextU64) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 3ULL, 1533ULL, 100000ULL}) {
+    Rng stepped(77);
+    (void)stepped.normal();  // leaves a cached deviate in both streams
+    Rng skipped = stepped;
+    for (std::uint64_t i = 0; i < n; ++i) (void)stepped.next_u64();
+    skipped.discard(n);
+    const Rng::State a = stepped.state();
+    const Rng::State b = skipped.state();
+    for (int w = 0; w < 4; ++w) EXPECT_EQ(a.s[w], b.s[w]) << "n=" << n;
+    EXPECT_EQ(a.has_cached_normal, b.has_cached_normal) << "n=" << n;
+    EXPECT_EQ(a.cached_normal, b.cached_normal) << "n=" << n;
+    EXPECT_EQ(stepped.next_u64(), skipped.next_u64()) << "n=" << n;
+  }
+}
+
 TEST(Rng, SplitStreamsAreIndependentAndDeterministic) {
   Rng parent(99);
   Rng c1 = parent.split(1);
