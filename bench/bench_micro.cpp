@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "compress/dgc.hpp"
 #include "compress/quantize.hpp"
 #include "core/drop_pattern.hpp"
@@ -393,6 +394,8 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   MicroJsonReporter reporter;
+  // Every benchmark runs on this thread, so one binding covers them all.
+  const fedbiad::bench::KernelPool kernels;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (const char* path = std::getenv("FEDBIAD_JSON")) {

@@ -274,9 +274,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf("=== Fused decode→aggregate kernel ===\n");
-  const KernelResult kernel =
-      smoke ? run_kernel(std::size_t{1} << 18, 32, 4)
-            : run_kernel(std::size_t{1} << 20, 32, 40);
+  const KernelResult kernel = [&] {
+    const fedbiad::bench::KernelPool kernels;
+    std::printf("threads=%zu (bound pool + caller)\n", kernels.threads());
+    return smoke ? run_kernel(std::size_t{1} << 18, 32, 4)
+                 : run_kernel(std::size_t{1} << 20, 32, 40);
+  }();
   std::printf(
       "coords=%zu updates=%zu reps=%zu contribs/call=%llu\n"
       "aggregate: %8.3f G contribs/s\n"

@@ -15,6 +15,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/afd.hpp"
@@ -38,6 +39,7 @@
 #include "netsim/tta.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace fedbiad::bench {
 
@@ -50,6 +52,33 @@ inline std::size_t env_threads() {
   const char* s = std::getenv("FEDBIAD_THREADS");
   return s == nullptr ? 0 : static_cast<std::size_t>(std::atoi(s));
 }
+
+/// nproc − 1 workers bound on the constructing thread, which takes chunks
+/// too: the split a commit on an nproc-thread budget gives its kernels.
+/// Kernel benches bind one so they measure the parallel kernels; with no
+/// pool bound every parallel_for runs inline on the calling thread.
+class KernelPool {
+ public:
+  KernelPool()
+      : pool_(workers() == 0 ? nullptr
+                             : std::make_unique<parallel::ThreadPool>(
+                                   workers())),
+        bind_(pool_.get()) {}
+
+  /// Threads a kernel splits over: the workers plus the caller.
+  [[nodiscard]] std::size_t threads() const {
+    return (pool_ == nullptr ? 0 : pool_->size()) + 1;
+  }
+
+ private:
+  static std::size_t workers() {
+    const unsigned nproc = std::thread::hardware_concurrency();
+    return nproc > 1 ? nproc - 1 : 0;
+  }
+
+  std::unique_ptr<parallel::ThreadPool> pool_;
+  parallel::BindPool bind_;
+};
 
 inline bool env_verbose() {
   const char* s = std::getenv("FEDBIAD_VERBOSE");

@@ -31,11 +31,15 @@ void put_string(wire::Writer& w, const std::string& s) {
 }
 
 std::string get_string(wire::Reader& r) {
-  const auto len = static_cast<std::size_t>(r.varint());
-  std::string s(len, '\0');
-  const auto b = r.bytes(len);
-  std::copy(b.begin(), b.end(), reinterpret_cast<std::uint8_t*>(s.data()));
-  return s;
+  const auto b = r.bytes(static_cast<std::size_t>(r.varint()));
+  return {b.begin(), b.end()};
+}
+
+/// Exactly 0 or 1: any other byte would not be what the flag rewrites as.
+bool get_flag(wire::Reader& r) {
+  const std::uint8_t b = r.u8();
+  if (b > 1) throw wire::DecodeError("snapshot flag is neither 0 nor 1");
+  return b == 1;
 }
 
 void put_blob(wire::Writer& w, std::span<const std::uint8_t> b) {
@@ -129,11 +133,11 @@ JobSnapshot get_job(wire::Reader& r) {
   j.download_seconds = r.f64();
   j.compute_seconds = r.f64();
   j.upload_start = r.f64();
-  j.churn_fails = r.u8() != 0;
+  j.churn_fails = get_flag(r);
   j.churn_fraction = r.f64();
-  j.has_pending = r.u8() != 0;
+  j.has_pending = get_flag(r);
   j.samples = r.varint();
-  j.is_update = r.u8() != 0;
+  j.is_update = get_flag(r);
   const std::uint8_t kind = r.u8();
   if (kind > static_cast<std::uint8_t>(wire::PayloadKind::kSubModel)) {
     throw wire::DecodeError("snapshot job has an unknown payload kind");
@@ -194,7 +198,7 @@ EngineSnapshot decode_body(std::span<const std::uint8_t> body) {
   snap.version = r.varint();
   snap.dispatched = r.varint();
   for (std::uint64_t& s : snap.rng.s) s = r.u64();
-  snap.rng.has_cached_normal = r.u8() != 0;
+  snap.rng.has_cached_normal = get_flag(r);
   snap.rng.cached_normal = r.f64();
   snap.committed = r.varint();
   snap.abandoned = r.varint();
@@ -202,18 +206,23 @@ EngineSnapshot decode_body(std::span<const std::uint8_t> body) {
   snap.rejected_deliveries = r.varint();
   snap.wasted_uplink_bytes = r.varint();
   snap.rejected_bytes = r.varint();
-  snap.global.resize(static_cast<std::size_t>(r.varint()));
+  // Counts are checked against the body before anything is sized from
+  // them (lists grow as records decode), so a corrupt one cannot allocate.
+  const std::uint64_t n_global = r.varint();
+  if (n_global > r.remaining() / sizeof(float)) {
+    throw wire::DecodeError("snapshot model is longer than its body");
+  }
+  snap.global.resize(static_cast<std::size_t>(n_global));
   r.f32_run(snap.global);
-  const auto n_rounds = static_cast<std::size_t>(r.varint());
-  snap.rounds.reserve(n_rounds);
-  for (std::size_t i = 0; i < n_rounds; ++i) snap.rounds.push_back(get_round(r));
+  const std::uint64_t n_rounds = r.varint();
+  for (std::uint64_t i = 0; i < n_rounds; ++i) {
+    snap.rounds.push_back(get_round(r));
+  }
   snap.strategy_state = get_blob(r);
-  const auto n_jobs = static_cast<std::size_t>(r.varint());
-  snap.jobs.reserve(n_jobs);
-  for (std::size_t i = 0; i < n_jobs; ++i) snap.jobs.push_back(get_job(r));
-  const auto n_events = static_cast<std::size_t>(r.varint());
-  snap.events.reserve(n_events);
-  for (std::size_t i = 0; i < n_events; ++i) {
+  const std::uint64_t n_jobs = r.varint();
+  for (std::uint64_t i = 0; i < n_jobs; ++i) snap.jobs.push_back(get_job(r));
+  const std::uint64_t n_events = r.varint();
+  for (std::uint64_t i = 0; i < n_events; ++i) {
     EventSnapshot ev;
     const std::uint8_t kind = r.u8();
     if (kind > static_cast<std::uint8_t>(EventKind::kDuplicate)) {

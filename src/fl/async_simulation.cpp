@@ -71,7 +71,7 @@ class EngineRun final : public ServerCore::Driver {
                                .hooks = hooks_,
                                .engine = to_string(cfg.mode),
                                .scenario = cfg.scenario_name},
-              *this, population, populated, factory, std::move(test),
+              *this, &pool_, population, populated, factory, std::move(test),
               strategy),
         pool_(base_.threads) {
     replicas_.resize(pool_.size());
@@ -148,6 +148,7 @@ class EngineRun final : public ServerCore::Driver {
   // registry's leased records, the replicas, the free list and its mutex,
   // the task count), so its destructor — which drains queued tasks and
   // joins — runs before any of them die, even on an exceptional unwind.
+  // Between quiesce() and the next launch it runs the commit kernels.
   std::vector<std::unique_ptr<nn::Model>> replicas_;
   std::vector<nn::Model*> free_replicas_;
   std::mutex replica_mutex_;

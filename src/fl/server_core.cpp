@@ -45,12 +45,14 @@ void staleness_merge(ShardedAccumulator& acc, std::span<float> global,
 }  // namespace
 
 ServerCore::ServerCore(ServerCoreConfig cfg, Driver& driver,
+                       parallel::ThreadPool* commit_pool,
                        std::size_t population,
                        std::span<const std::size_t> populated,
                        const nn::ModelFactory& factory,
                        data::DatasetPtr test_data, StrategyPtr strategy)
     : cfg_(std::move(cfg)),
       driver_(driver),
+      commit_pool_(commit_pool),
       populated_(populated),
       test_data_(std::move(test_data)),
       strategy_(std::move(strategy)),
@@ -363,22 +365,27 @@ void ServerCore::commit(std::vector<PendingUpdate> batch) {
   driver_.quiesce();
   const auto agg_start = Clock::now();
   double staleness_acc = 0.0;
-  if (barrier_) {
-    // Compact outcomes in selection-slot order through the fused committer
-    // under the strategy's rule: per coordinate the double adds land in
-    // selection-slot order with the same operands on every thread count
-    // (the goldens pin it).
-    std::vector<FusedUpdate> fused(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      fused[i].update = &batch[i].outcome.compact;
-      fused[i].weight = static_cast<double>(batch[i].outcome.samples);
-      fused[i].is_update = batch[i].outcome.is_update;
-    }
-    sharded_.aggregate(global_, fused, strategy_->aggregation_rule());
-  } else {
-    staleness_merge(sharded_, global_, batch, cfg_.staleness, version_);
-    for (const PendingUpdate& up : batch) {
-      staleness_acc += static_cast<double>(version_ - up.dispatch_version);
+  {
+    // quiesce() left the driver's pool idle; its workers and this thread
+    // share the aggregate's blocks.
+    parallel::BindPool bind(commit_pool_);
+    if (barrier_) {
+      // Compact outcomes in selection-slot order through the fused committer
+      // under the strategy's rule: per coordinate the double adds land in
+      // selection-slot order with the same operands on every thread count
+      // (the goldens pin it).
+      std::vector<FusedUpdate> fused(batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        fused[i].update = &batch[i].outcome.compact;
+        fused[i].weight = static_cast<double>(batch[i].outcome.samples);
+        fused[i].is_update = batch[i].outcome.is_update;
+      }
+      sharded_.aggregate(global_, fused, strategy_->aggregation_rule());
+    } else {
+      staleness_merge(sharded_, global_, batch, cfg_.staleness, version_);
+      for (const PendingUpdate& up : batch) {
+        staleness_acc += static_cast<double>(version_ - up.dispatch_version);
+      }
     }
   }
   const double agg_seconds =
@@ -440,6 +447,7 @@ void ServerCore::commit(std::vector<PendingUpdate> batch) {
 void ServerCore::evaluate_into(RoundRecord& rec) {
   const SimulationConfig& base = cfg_.base;
   if (rec.round % base.eval_every == 0 || rec.round == base.rounds) {
+    parallel::BindPool bind(commit_pool_);  // still idle (see commit)
     nn::EvalResult eval;
     data::for_each_batch(*test_data_, base.eval_batch_size,
                          [&](const data::Batch& batch) {

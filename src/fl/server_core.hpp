@@ -56,6 +56,7 @@
 #include "fl/metrics.hpp"
 #include "fl/strategy.hpp"
 #include "nn/model.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tensor/rng.hpp"
 #include "wire/update_codec.hpp"
 
@@ -113,8 +114,11 @@ class ServerCore {
 
   /// `populated` lists the clients with data, ascending, and must outlive
   /// the core; `population` counts every registered client (κ applies to
-  /// it). Builds and initializes the global model.
-  ServerCore(ServerCoreConfig cfg, Driver& driver, std::size_t population,
+  /// it). Commits bind `commit_pool` — the driver's, idle during commits,
+  /// possibly not yet constructed — for their aggregate and evaluation
+  /// kernels (null: inline). Builds and initializes the global model.
+  ServerCore(ServerCoreConfig cfg, Driver& driver,
+             parallel::ThreadPool* commit_pool, std::size_t population,
              std::span<const std::size_t> populated,
              const nn::ModelFactory& factory, data::DatasetPtr test_data,
              StrategyPtr strategy);
@@ -182,6 +186,7 @@ class ServerCore {
 
   ServerCoreConfig cfg_;
   Driver& driver_;
+  parallel::ThreadPool* commit_pool_;
   std::span<const std::size_t> populated_;
   data::DatasetPtr test_data_;
   StrategyPtr strategy_;

@@ -30,7 +30,9 @@ struct SimulationConfig {
   std::uint64_t seed = 42;
   std::size_t eval_batch_size = 64;
   std::size_t eval_every = 1;   ///< evaluate global model every k rounds
-  std::size_t threads = 0;      ///< worker threads; 0 = hardware concurrency
+  /// The whole thread budget: training workers, which the engine thread
+  /// joins for commit kernels (0 = hardware concurrency).
+  std::size_t threads = 0;
   bool verbose = false;         ///< print per-round progress to stderr
 };
 

@@ -38,6 +38,14 @@ class OrderedResults {
     FEDBIAD_CHECK(depth > 0, "OrderedResults needs a positive depth");
   }
 
+  /// Waits for outstanding jobs: the pool may outlive what they reference.
+  ~OrderedResults() {
+    for (const std::future<T>& f : pending_) f.wait();
+  }
+
+  OrderedResults(const OrderedResults&) = delete;
+  OrderedResults& operator=(const OrderedResults&) = delete;
+
   /// Schedules `fn` on the pool if the queue has room. Returns false — and
   /// does not consume `fn` — when `depth` results are already in flight;
   /// the caller parks the work and retries after the next drain.

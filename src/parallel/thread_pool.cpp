@@ -2,34 +2,41 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <latch>
-
-#include "common/check.hpp"
+#include <memory>
 
 namespace fedbiad::parallel {
 
 namespace {
-// True on threads owned by any ThreadPool. parallel_for degrades to a serial
-// loop on such threads: a worker blocking on a latch while the queue is full
-// of other latch-waiting tasks would deadlock the pool.
+// True on threads owned by any ThreadPool, which run for_each_range inline
+// and never bind a pool: nested parallelism degrades instead of deadlocking.
 thread_local bool is_pool_worker = false;
+thread_local ThreadPool* bound_pool = nullptr;  // set only through BindPool
 
-// Pid of the process that built ThreadPool::global(); 0 until it is built.
-// A fork()ed child inherits the pool object but none of its workers, and
-// the pool's mutex may have been held at fork time, so a child must never
-// lock or enqueue on it.
-std::atomic<pid_t> global_pool_owner{0};
+/// One for_each_range call, shared with the tasks it posts. A task that
+/// starts after the range is done never touches `fn` (the caller's).
+struct RangeJob {
+  std::size_t n = 0;
+  std::size_t step = 0;
+  const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> done{0};  ///< indices processed so far
 
-/// True when the global pool belongs to another process (we are a fork of
-/// its owner), so parallel work has to stay on the calling thread.
-bool forked_from_global_pool_owner() {
-  const pid_t owner = global_pool_owner.load(std::memory_order_relaxed);
-  return owner != 0 && owner != ::getpid();
-}
+  /// Claims and runs chunks until none is left.
+  void run_chunks() noexcept {
+    for (;;) {
+      const std::size_t begin = next.fetch_add(step);
+      if (begin >= n) return;
+      const std::size_t end = std::min(n, begin + step);
+      (*fn)(begin, end);
+      if (done.fetch_add(end - begin) + (end - begin) == n) done.notify_one();
+    }
+  }
+};
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
+ThreadPool::ThreadPool(std::size_t threads) : owner_(::getpid()) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -45,6 +52,14 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   cv_.notify_all();
+}
+
+void ThreadPool::post(std::function<void()> task) {
+  {
+    std::scoped_lock lock(mutex_);
+    queue_.push(std::move(task));
+  }
+  cv_.notify_one();
 }
 
 void ThreadPool::worker_loop() {
@@ -65,72 +80,42 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::for_each_index(std::size_t n,
-                                const std::function<void(std::size_t)>& fn) {
-  for_each_range(n, [&fn](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
 void ThreadPool::for_each_range(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
-  if (is_pool_worker) {  // see note on is_pool_worker above
+  const std::size_t chunks = std::min(n, size() + 1);
+  if (chunks <= 1 || is_pool_worker || owner_ != ::getpid()) {
     fn(0, n);
     return;
   }
-  const std::size_t chunks = std::min(n, size());
-  if (chunks <= 1) {
-    fn(0, n);
-    return;
+  auto job = std::make_shared<RangeJob>();
+  job->n = n;
+  job->step = (n + chunks - 1) / chunks;
+  job->fn = &fn;
+  for (std::size_t c = 1; c < chunks; ++c) {
+    post([job] { job->run_chunks(); });
   }
-  std::latch done(static_cast<std::ptrdiff_t>(chunks));
-  std::atomic<std::size_t> next{0};
-  const std::size_t step = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    submit([&, step] {
-      for (;;) {
-        const std::size_t begin = next.fetch_add(step);
-        if (begin >= n) break;
-        fn(begin, std::min(n, begin + step));
-      }
-      done.count_down();
-    });
+  job->run_chunks();
+  for (std::size_t d = job->done.load(); d != n; d = job->done.load()) {
+    job->done.wait(d);
   }
-  done.wait();
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  // Recorded once, by the process that builds the pool; a forked child
-  // inherits the record and so treats the pool as another process's.
-  [[maybe_unused]] static const bool owner_recorded = [] {
-    global_pool_owner.store(::getpid(), std::memory_order_relaxed);
-    return true;
-  }();
-  return pool;
+BindPool::BindPool(ThreadPool* pool) noexcept : previous_(bound_pool) {
+  if (!is_pool_worker) bound_pool = pool;
 }
 
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  if (n * std::max<std::size_t>(grain, 1) < 2048 || is_pool_worker ||
-      forked_from_global_pool_owner()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool::global().for_each_index(n, fn);
-}
+BindPool::~BindPool() { bound_pool = previous_; }
 
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn,
                   std::size_t grain) {
   if (n == 0) return;
-  if (n * std::max<std::size_t>(grain, 1) < 2048 || is_pool_worker ||
-      forked_from_global_pool_owner()) {
+  if (bound_pool == nullptr || n * std::max<std::size_t>(grain, 1) < 2048) {
     fn(0, n);
     return;
   }
-  ThreadPool::global().for_each_range(n, fn);
+  bound_pool->for_each_range(n, fn);
 }
 
 }  // namespace fedbiad::parallel

@@ -1,10 +1,13 @@
-// A fixed-size thread pool used to train selected clients concurrently and
-// to parallelize large tensor kernels (parallel_for).
+// A fixed-size thread pool used to train selected clients concurrently,
+// decode uploads, and parallelize large tensor kernels (parallel_for) on
+// the pool a thread has bound — there is no process-wide pool.
 //
 // Design follows the C++ Core Guidelines concurrency rules: jthread-based
 // workers joined by RAII, shared state confined to the queue and guarded by
 // a single mutex, tasks communicate results through futures only.
 #pragma once
+
+#include <sys/types.h>
 
 #include <condition_variable>
 #include <cstddef>
@@ -40,33 +43,25 @@ class ThreadPool {
     auto task = std::make_shared<std::packaged_task<Result()>>(
         std::forward<Fn>(fn));
     std::future<Result> fut = task->get_future();
-    {
-      std::scoped_lock lock(mutex_);
-      queue_.emplace([task]() { (*task)(); });
-    }
-    cv_.notify_one();
+    post([task]() { (*task)(); });
     return fut;
   }
 
-  /// Runs `fn(i)` for i in [0, n), splitting the range across workers and
-  /// blocking until every index has been processed. Safe to call from a
-  /// non-worker thread only (no nested parallel_for).
-  void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn);
-
   /// Runs `fn(begin, end)` over disjoint sub-ranges that exactly cover
-  /// [0, n), blocking until all of them have been processed. One `fn` call
-  /// per scheduled chunk — the batched counterpart of for_each_index that
-  /// keeps per-index dispatch out of kernel inner loops.
+  /// [0, n), blocking until all of them have been processed. The caller
+  /// takes chunks from the same counter as the workers and waits only for
+  /// chunks a worker has claimed. Runs fn(0, n) inline on a pool worker
+  /// and in a fork()ed child (it has none of the workers). `fn` must not
+  /// throw: a throw terminates the process.
   void for_each_range(
       std::size_t n,
       const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Process-wide pool sized to the machine; used by tensor kernels.
-  static ThreadPool& global();
-
  private:
+  void post(std::function<void()> task);
   void worker_loop();
 
+  pid_t owner_;  ///< the process whose workers these are
   std::mutex mutex_;
   std::condition_variable cv_;
   std::queue<std::function<void()>> queue_;
@@ -74,20 +69,23 @@ class ThreadPool {
   std::vector<std::jthread> workers_;
 };
 
-/// Convenience wrapper over the global pool. Falls back to a serial loop for
-/// small `n` where task overhead would dominate. `grain` is the estimated
-/// cost of one index in arbitrary units; `n * grain` decides serial vs pool.
-/// In a fork()ed child of the process that built the global pool the whole
-/// range runs inline on the calling thread: the child has no workers, and
-/// the inherited pool is never locked.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 1);
+/// Binds `pool` (null: none) as the calling thread's parallel_for pool
+/// until the scope ends, then restores the previous binding. Binds nothing
+/// on a pool worker, so kernels in pool tasks always run inline.
+class BindPool {
+ public:
+  explicit BindPool(ThreadPool* pool) noexcept;
+  ~BindPool();
+  BindPool(const BindPool&) = delete;
+  BindPool& operator=(const BindPool&) = delete;
 
-/// Range-based overload: `fn(begin, end)` is invoked over disjoint chunks
-/// covering [0, n) exactly once each (possibly on the calling thread). The
-/// callee owns the whole half-open range — this is the form every tensor
-/// kernel uses, eliminating the per-index std::function call of the index
-/// overload.
+ private:
+  ThreadPool* previous_;
+};
+
+/// `fn(begin, end)` over disjoint chunks covering [0, n): split over the
+/// calling thread's bound pool, or one inline fn(0, n) call when no pool
+/// is bound or `n * grain` (grain: cost of one index) is small.
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn,
                   std::size_t grain = 1);

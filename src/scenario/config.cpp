@@ -24,6 +24,16 @@ double get_number(const json::Value& v, const char* field) {
   return v.as_number();
 }
 
+/// An integral number in [lo, 2^64): the range a uint64 holds, checked
+/// before the cast (converting a larger or infinite double is undefined).
+std::uint64_t get_integer(const json::Value& v, const char* field, double lo) {
+  const double n = get_number(v, field);
+  FEDBIAD_CHECK(n >= lo && n < 0x1p64 && n == std::floor(n),
+                std::string("scenario: ") + field + " must be an integer in [" +
+                    std::to_string(static_cast<int>(lo)) + ", 2^64)");
+  return static_cast<std::uint64_t>(n);
+}
+
 /// Walks an object's members through `consume(key, value) -> bool`;
 /// a member no handler claims is an unknown key and throws.
 template <typename Fn>
@@ -74,11 +84,8 @@ RetryConfig parse_retry(const json::Value& v) {
   walk_object(v, "faults.retry",
               [&](const std::string& key, const json::Value& m) {
                 if (key == "max_attempts") {
-                  const double n = get_number(m, "max_attempts");
-                  FEDBIAD_CHECK(n >= 1.0 && n == std::floor(n),
-                                "scenario: faults.retry.max_attempts must be "
-                                "a positive integer");
-                  out.max_attempts = static_cast<std::uint64_t>(n);
+                  out.max_attempts =
+                      get_integer(m, "faults.retry.max_attempts", 1.0);
                 } else if (key == "backoff_seconds") {
                   out.backoff_seconds = get_number(m, "backoff_seconds");
                 } else if (key == "backoff_multiplier") {
@@ -199,11 +206,7 @@ Config Config::from_json(const std::string& text) {
                                 "scenario: name must be a string");
                   cfg.name = m.as_string();
                 } else if (key == "seed") {
-                  const double v = get_number(m, "seed");
-                  FEDBIAD_CHECK(v >= 0.0 && v == std::floor(v),
-                                "scenario: seed must be a non-negative "
-                                "integer");
-                  cfg.seed = static_cast<std::uint64_t>(v);
+                  cfg.seed = get_integer(m, "seed", 0.0);
                 } else if (key == "over_selection") {
                   cfg.over_selection = get_number(m, "over_selection");
                 } else if (key == "deadline_seconds") {

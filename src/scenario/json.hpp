@@ -19,12 +19,17 @@
 
 namespace fedbiad::scenario::json {
 
+/// Deepest nesting parse() accepts (it recurses per level, so this bounds
+/// its stack); checked-in scenarios nest three levels deep.
+inline constexpr std::size_t kMaxDepth = 256;
+
 class Value {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
   /// Parses one JSON document; trailing non-whitespace is an error.
-  /// Throws fedbiad::CheckError with a byte offset on malformed input.
+  /// Throws fedbiad::CheckError with a byte offset on malformed input,
+  /// including nesting deeper than kMaxDepth.
   static Value parse(std::string_view text);
 
   [[nodiscard]] Kind kind() const { return kind_; }

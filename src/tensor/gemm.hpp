@@ -13,8 +13,10 @@
 // lane is an independent float chain, so the compiler vectorizes the tile
 // without -ffast-math; the naive dot-product formulation it replaces could
 // not be vectorized at all (a single float reduction chain may not be
-// reassociated). Row blocks are distributed with the range-based
-// parallel_for.
+// reassociated). MR-row tiles are distributed with the range-based
+// parallel_for — over the calling thread's bound pool plus the caller, or
+// inline when none is bound — and each tile is computed whole by one
+// thread, so the result never depends on the split.
 //
 // Reference scalar implementations are retained in gemm::ref for the
 // kernel-equivalence golden tests (tests/test_gemm.cpp).

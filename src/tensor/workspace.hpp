@@ -15,8 +15,13 @@
 //     ones are made inside the same scope;
 //   - buffers are per-thread: the owner may let a BLOCKING parallel_for
 //     region read/write one (the call outlives the workers' use), but
-//     workers allocate their own scratch via Workspace::local(), and
-//     pointers are never stored or handed across threads otherwise;
+//     each thread running a chunk allocates its own scratch via
+//     Workspace::local(), and pointers are never stored or handed across
+//     threads otherwise;
+//   - the calling thread runs chunks of its own parallel_for, so its
+//     chunks allocate from the arena that holds the buffers it shared;
+//     chunks never move and each chunk allocates in a nested Scope, so
+//     the shared buffers stay valid;
 //   - scopes nest (inner scopes release back to the outer watermark).
 #pragma once
 
@@ -31,7 +36,8 @@ namespace fedbiad::tensor {
 class Workspace {
  public:
   /// The calling thread's arena. Pool worker threads each get their own,
-  /// which persists for the lifetime of the thread.
+  /// which persists for the lifetime of the thread; a thread that joins
+  /// its own parallel_for uses this one for its chunks.
   static Workspace& local();
 
   /// RAII watermark: allocations made after construction are released (but

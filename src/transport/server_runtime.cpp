@@ -41,8 +41,11 @@ ServerRuntime::ServerRuntime(TransportServerConfig cfg,
       transport_(transport),
       strategy_(strategy),
       populated_(populated_clients(partition)),
-      core_(core_config(cfg_), *this, partition.size(), populated_, factory,
-            std::move(test_data), std::move(strategy)) {
+      workers_(cfg_.decode_workers > 0
+                   ? std::make_unique<parallel::ThreadPool>(cfg_.decode_workers)
+                   : nullptr),
+      core_(core_config(cfg_), *this, workers_.get(), partition.size(),
+            populated_, factory, std::move(test_data), std::move(strategy)) {
   FEDBIAD_CHECK(cfg_.max_upload_attempts > 0, "need at least one attempt");
   FEDBIAD_CHECK(!cfg_.checkpoint.enabled() ||
                     cfg_.mode == fl::AggregationMode::kBarrier,
@@ -53,10 +56,10 @@ ServerRuntime::ServerRuntime(TransportServerConfig cfg,
 }
 
 void ServerRuntime::start() {
-  if (cfg_.decode_workers > 0) {
-    decode_pool_ = std::make_unique<DecodePool>(
-        cfg_.decode_workers, cfg_.decode_queue_depth, *strategy_,
-        core_.layout());
+  if (workers_ != nullptr) {
+    decodes_ = std::make_unique<DecodeQueue>(
+        *workers_, cfg_.decode_queue_depth > 0 ? cfg_.decode_queue_depth
+                                               : 2 * workers_->size());
   }
   if (const auto snap = core_.resume()) {
     FEDBIAD_CHECK(snap->jobs.empty() && snap->events.empty(),
@@ -296,7 +299,7 @@ void ServerRuntime::handle_upload(SessionId session, const Frame& frame) {
 
   // Submit half: capture everything the completion needs — including the
   // arrival clock, so timestamps don't depend on when a worker runs — and
-  // hand the sealed payload to the decode pool (or decode inline).
+  // hand the sealed payload to the decode workers (or decode inline).
   auto job = std::make_unique<DecodeJob>();
   job->session = session;
   job->client = client;
@@ -315,7 +318,7 @@ void ServerRuntime::handle_upload(SessionId session, const Frame& frame) {
   out.payload.aux = aux;
   out.payload.bytes = std::move(msg.payload);
 
-  if (decode_pool_ == nullptr) {
+  if (decodes_ == nullptr) {
     job->status = fl::try_decode_outcome_compact(
         *strategy_, core_.layout(), out, /*framed=*/true,
         fl::DecodeContext{client, msg.dispatch_index, transport_.now()});
@@ -329,7 +332,7 @@ void ServerRuntime::handle_upload(SessionId session, const Frame& frame) {
   // submitting session before memory grows. The shed upload's dispatch
   // stays in flight — the deadline or a retry on reconnect resolves it,
   // so conservation holds.
-  if (parked_uploads_.empty() && decode_pool_->try_submit(job)) return;
+  if (parked_uploads_.empty() && try_submit_decode(job)) return;
   ++result_.decode_parked;
   parked_uploads_.push_back(std::move(job));
   if (parked_uploads_.size() > cfg_.max_parked_uploads) {
@@ -386,19 +389,39 @@ void ServerRuntime::finish_upload(DecodeJob& job) {
   if (core_.done()) broadcast_fin();
 }
 
+bool ServerRuntime::try_submit_decode(std::unique_ptr<DecodeJob>& job) {
+  if (decodes_->full()) return false;
+  const bool queued = decodes_->try_submit(
+      [this, layout = &core_.layout(), j = std::move(job)]() mutable {
+        j->status = fl::try_decode_outcome_compact(
+            *strategy_, *layout, j->outcome, /*framed=*/true,
+            fl::DecodeContext{j->client,
+                              static_cast<std::size_t>(j->dispatch_index),
+                              j->arrival_clock});
+        return std::move(j);
+      });
+  // full() was false and this thread is the only submitter, so a refusal
+  // (which would have dropped the moved-from job) cannot happen.
+  FEDBIAD_CHECK(queued, "decode queue full after full() check");
+  return true;
+}
+
 bool ServerRuntime::drain_decodes() {
-  if (decode_pool_ == nullptr || draining_decodes_) return false;
+  if (decodes_ == nullptr || draining_decodes_) return false;
   draining_decodes_ = true;
   bool did_work = false;
   for (;;) {
     // Harvest *everything* before finishing *anything*: workers are idle
     // while finish_upload commits, so decode reads of the strategy and
     // parameter layout never overlap the transport thread's mutations.
-    std::vector<std::unique_ptr<DecodeJob>> done = decode_pool_->harvest();
+    std::vector<std::unique_ptr<DecodeJob>> done;
+    decodes_->drain([&done](std::unique_ptr<DecodeJob>&& job) {
+      done.push_back(std::move(job));
+    });
     for (const auto& job : done) finish_upload(*job);
     bool resubmitted = false;
     while (!parked_uploads_.empty() &&
-           decode_pool_->try_submit(parked_uploads_.front())) {
+           try_submit_decode(parked_uploads_.front())) {
       parked_uploads_.pop_front();
       resubmitted = true;
     }

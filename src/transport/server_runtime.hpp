@@ -37,13 +37,15 @@
 //                          queue overflows is closed — load is shed before
 //                          memory grows.
 //   decode workers         with decode_workers > 0, sealed uploads are
-//                          verified and decoded on a DecodePool off the
+//                          verified and decoded on worker threads off the
 //                          transport thread and finished — in arrival
 //                          order — at the transport's scheduler tick, so
 //                          trajectories are bit-identical to the inline
 //                          path at any worker count. A full decode queue
 //                          parks arrivals exactly like a full send ring;
-//                          overflow sheds the submitting session.
+//                          overflow sheds the submitting session. The
+//                          same threads join the transport thread in the
+//                          commit kernels.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +62,9 @@
 #include "fl/server_core.hpp"
 #include "fl/strategy.hpp"
 #include "nn/model.hpp"
+#include "parallel/ordered_results.hpp"
+#include "parallel/thread_pool.hpp"
 #include "transport/clock.hpp"
-#include "transport/decode_pool.hpp"
 #include "transport/protocol.hpp"
 #include "transport/transport.hpp"
 
@@ -83,8 +86,9 @@ struct TransportServerConfig {
   std::size_t max_upload_attempts = 3;
   /// Parked control frames per session before the session is shed.
   std::size_t max_parked_control = 64;
-  /// Decode-on-arrival worker threads. 0 decodes inline on the transport
-  /// thread; any positive count produces bit-identical trajectories.
+  /// Worker threads that decode uploads on arrival and join the transport
+  /// thread in commit kernels. 0 runs both inline on the transport thread;
+  /// any positive count produces bit-identical trajectories.
   std::size_t decode_workers = 0;
   /// Uploads in flight on the decode workers before arrivals park
   /// (0 = 2 × decode_workers).
@@ -169,6 +173,21 @@ class ServerRuntime final : public ServerTransport::Handler,
     std::vector<std::uint8_t> body;
   };
 
+  /// One sealed upload: built at frame delivery (capturing the arrival
+  /// clock, so timestamps do not depend on when a worker gets to it),
+  /// seal-verified and decoded inline or on a worker, then finished on the
+  /// transport thread.
+  struct DecodeJob {
+    SessionId session = 0;
+    std::size_t client = 0;
+    std::uint64_t dispatch_index = 0;
+    std::uint64_t framed_bytes = 0;  ///< on-the-wire payload size, for ledgers
+    double arrival_clock = 0.0;      ///< transport now() at frame delivery
+    fl::ClientOutcome outcome;       ///< payload in, compact view out
+    fl::DecodeStatus status;
+  };
+  using DecodeQueue = parallel::OrderedResults<std::unique_ptr<DecodeJob>>;
+
   // fl::ServerCore::Driver
   void launch(const fl::ServerCore::Dispatch& d) override;
   [[nodiscard]] double now() const override { return transport_.now(); }
@@ -179,6 +198,9 @@ class ServerRuntime final : public ServerTransport::Handler,
   /// ack, and the core event. Runs at delivery time inline
   /// (decode_workers == 0) or at the scheduler tick in arrival order.
   void finish_upload(DecodeJob& job);
+  /// Queues the decode of `job` on the workers; false, leaving `job`
+  /// untouched, when the decode queue is full.
+  [[nodiscard]] bool try_submit_decode(std::unique_ptr<DecodeJob>& job);
   /// Tick hook body: harvests decoded jobs, finishes them in arrival
   /// order, and re-submits parked uploads. Returns true when it did work.
   bool drain_decodes();
@@ -193,9 +215,15 @@ class ServerRuntime final : public ServerTransport::Handler,
   ServerTransport& transport_;
   fl::StrategyPtr strategy_;
   std::vector<std::size_t> populated_;  ///< ascending populated client ids
+  std::unique_ptr<parallel::ThreadPool> workers_;  ///< null when inline
   fl::ServerCore core_;
 
-  std::unique_ptr<DecodePool> decode_pool_;  ///< null when decoding inline
+  /// Decodes on workers_, delivered in submission (= arrival) order; null
+  /// when decoding inline. Workers touch only their own job (the
+  /// strategy's decode is const, the layout immutable shape metadata), and
+  /// drain_decodes harvests every job before finishing any, so no decode
+  /// overlaps a commit. Its destructor waits for jobs still running.
+  std::unique_ptr<DecodeQueue> decodes_;
   /// Arrivals refused by a full decode queue, in arrival order. Once
   /// anything is parked, every later upload parks behind it so finish
   /// order stays arrival order.

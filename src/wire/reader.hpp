@@ -1,8 +1,9 @@
 // Bounds-checked decoding of the wire/writer.hpp format.
 //
 // Every read validates the remaining length first and throws DecodeError on
-// overrun, varint overflow, or (through callers) malformed structure — a
-// truncated or corrupted buffer must be rejected, never walked past the end.
+// overrun, varint overflow, a non-minimal varint, or (through callers)
+// malformed structure — a truncated or corrupted buffer must be rejected,
+// never walked past the end.
 // DecodeError is distinct from CheckError on purpose: a failed decode is a
 // bad *input* (hostile client, bit-flipped buffer), not a programming error.
 #pragma once
@@ -82,7 +83,14 @@ class Reader {
       const std::uint64_t low = byte & 0x7FU;
       if (shift == 63 && low > 1) throw DecodeError("varint overflows 64 bits");
       v |= low << shift;
-      if ((byte & 0x80U) == 0) return v;
+      if ((byte & 0x80U) == 0) {
+        // A zero final byte after the first is a second encoding of the
+        // value, one the writer never produces.
+        if (byte == 0 && shift != 0) {
+          throw DecodeError("varint is not minimally encoded");
+        }
+        return v;
+      }
     }
     throw DecodeError("varint longer than 10 bytes");
   }

@@ -10,8 +10,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -264,16 +266,22 @@ TEST_P(EngineDeterminism, RepeatedRunsIdentical) {
 
 // The worker-thread count never leaks into the trajectory: all server-side
 // decisions happen in virtual-time event order on the engine thread.
+// The commit kernels split over the same pool plus the engine thread, so 1,
+// 4 and 7 workers are a 2-, 5- and 8-way split on any machine.
 TEST_P(EngineDeterminism, ThreadCountInvariant) {
   const auto t1 = run_async(GetParam(), 1, stressed_fleet());
-  const auto t4 = run_async(GetParam(), 4, stressed_fleet());
-  expect_identical_trajectories(t1, t4);
+  for (const std::size_t threads : {4u, 7u}) {
+    expect_identical_trajectories(
+        t1, run_async(GetParam(), threads, stressed_fleet()));
+  }
 }
 
 TEST_P(EngineDeterminism, ThreadCountInvariantForFedBiad) {
   const auto t1 = run_async(GetParam(), 1, stressed_fleet(), true);
-  const auto t4 = run_async(GetParam(), 4, stressed_fleet(), true);
-  expect_identical_trajectories(t1, t4);
+  for (const std::size_t threads : {4u, 7u}) {
+    expect_identical_trajectories(
+        t1, run_async(GetParam(), threads, stressed_fleet(), true));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, EngineDeterminism,
@@ -599,6 +607,66 @@ TEST(Quiesce, ThrowingClientFailsTheRunInsteadOfHanging) {
                  std::runtime_error)
         << to_string(mode);
   }
+}
+
+// --- thread budget ----------------------------------------------------------
+
+std::size_t live_threads() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator{}));
+}
+
+/// FedAvg that records the process's peak thread count seen from inside
+/// run_client in rounds after the first commit's evaluation. FedAvg
+/// overrides only name() and run_client(), so forwarding those two keeps
+/// the decorated run identical.
+class ThreadCountProbe final : public Strategy {
+ public:
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  ClientOutcome run_client(ClientContext& ctx) override {
+    if (ctx.round >= 2) {
+      const std::size_t now = live_threads();
+      std::size_t seen = peak_.load();
+      while (seen < now && !peak_.compare_exchange_weak(seen, now)) {
+      }
+      samples_.fetch_add(1);
+    }
+    return inner_.run_client(ctx);
+  }
+  [[nodiscard]] std::size_t peak() const { return peak_.load(); }
+  [[nodiscard]] std::size_t samples() const { return samples_.load(); }
+
+ private:
+  baselines::FedAvgStrategy inner_;
+  std::atomic<std::size_t> peak_{0};
+  std::atomic<std::size_t> samples_{0};
+};
+
+// `threads` is the whole budget of a run: its training workers, which the
+// engine thread joins for the commit's aggregate and evaluation kernels.
+// The evaluation GEMM here (30 × 100 × 64) is far above the serial
+// threshold, so a kernel pool outside the budget would be running by the
+// time round 2 trains. Meaningful in a process of its own (ctest runs
+// each case alone): threads other tests left running count as "before".
+TEST(ThreadBudget, AsyncRunAddsOnlyItsConfiguredThreads) {
+  EngineScenario sc = make_engine_scenario(2);
+  sc.factory = [] {
+    return std::make_unique<nn::MlpModel>(
+        nn::MlpConfig{.input = 100, .hidden = 64, .classes = 10});
+  };
+  AsyncSimulationConfig cfg;
+  cfg.base = sc.sim;
+  cfg.base.eval_every = 1;
+  auto probe = std::make_shared<ThreadCountProbe>();
+  const std::size_t before = live_threads();
+  AsyncSimulation sim(cfg, sc.factory, sc.train, sc.test, sc.partition,
+                      probe);
+  const auto r = sim.run();
+  ASSERT_EQ(r.rounds.size(), sc.sim.rounds);
+  ASSERT_GT(probe->samples(), 0u);
+  EXPECT_LE(probe->peak(), before + 2)
+      << "a run with threads = 2 started threads outside its budget";
 }
 
 }  // namespace

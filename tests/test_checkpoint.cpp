@@ -6,10 +6,13 @@
 // strategy, under fault injection, and across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,9 +28,12 @@
 #include "nn/mlp_model.hpp"
 #include "scenario/config.hpp"
 #include "scenario/model.hpp"
+#include "support/mutate_bytes.hpp"
 #include "tensor/rng.hpp"
+#include "wire/crc32c.hpp"
 #include "wire/reader.hpp"
 #include "wire/update_codec.hpp"
+#include "wire/writer.hpp"
 
 namespace fedbiad {
 namespace {
@@ -547,6 +553,228 @@ TEST(EngineCheckpoint, ResumeRejectsMismatchedSnapshot) {
   async_spec.mode = fl::AggregationMode::kFedAsync;
   EXPECT_THROW(run_with_checkpoints(async_spec, dir, /*resume=*/true),
                CheckError);
+}
+
+// --- Reader fuzz ----------------------------------------------------------
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+constexpr std::size_t kHeaderBytes = 16;  // magic, format version, body length
+
+/// A snapshot file around `body`: the header of a valid file and the
+/// body's own CRC32C, so a mutated body reaches the body parser instead of
+/// stopping at the CRC check.
+std::vector<std::uint8_t> reseal(const std::vector<std::uint8_t>& valid_file,
+                                 const std::vector<std::uint8_t>& body) {
+  wire::Writer w;
+  w.bytes(std::span(valid_file.data(), 8));  // magic + format version
+  w.u64(body.size());
+  w.bytes(body);
+  w.u32(wire::crc32c(body));
+  return std::move(w).take();
+}
+
+void put_file(const std::string& path, const std::vector<std::uint8_t>& b) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(b.data()),
+            static_cast<std::streamsize>(b.size()));
+}
+
+/// What the checkpoint reader made of one mutated file.
+struct ReaderVerdict {
+  bool accepted = false;
+  std::string defect;  ///< empty when the outcome is allowed
+};
+
+/// Allowed: the file is rejected (DecodeError or CheckError, and skipped by
+/// resume), or read back into a snapshot that rewrites to these bytes.
+ReaderVerdict check_mutated_file(const std::vector<std::uint8_t>& file,
+                                 const std::string& dir) {
+  const std::string path = dir + "/ckpt-00000001.fbck";
+  put_file(path, file);
+  ReaderVerdict v;
+  checkpoint::EngineSnapshot snap;
+  try {
+    snap = checkpoint::read_snapshot(path);
+    v.accepted = true;
+  } catch (const wire::DecodeError&) {
+  } catch (const CheckError&) {
+  } catch (const std::exception& e) {
+    v.defect = std::string("unexpected exception: ") + e.what();
+    return v;
+  }
+  if (!v.accepted) {
+    if (checkpoint::find_latest_valid(dir)) v.defect = "resume took it";
+    return v;
+  }
+  fs::remove(path);
+  const std::string out_dir = dir + "/rewrite";
+  fs::remove_all(out_dir);
+  checkpoint::write_snapshot(out_dir, snap);
+  const auto rewritten = checkpoint::list_snapshots(out_dir);
+  if (rewritten.size() != 1) {
+    v.defect = "rewrite produced no single file";
+  } else if (file_bytes(rewritten[0]) != file) {
+    v.defect = "read back, but rewrote different bytes";
+  }
+  return v;
+}
+
+/// The body of `snap` as write_snapshot lays it out, and the whole file.
+struct SnapshotFile {
+  std::vector<std::uint8_t> file;
+  std::vector<std::uint8_t> body;
+};
+
+SnapshotFile encode_file(const checkpoint::EngineSnapshot& snap) {
+  const std::string dir = fresh_dir("encode");
+  checkpoint::write_snapshot(dir, snap);
+  SnapshotFile out;
+  out.file = file_bytes(checkpoint::list_snapshots(dir).at(0));
+  out.body.assign(out.file.begin() + kHeaderBytes, out.file.end() - 4);
+  return out;
+}
+
+/// The first body offset where `a` and `b` differ.
+std::size_t first_difference(const std::vector<std::uint8_t>& a,
+                             const std::vector<std::uint8_t>& b) {
+  const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  return static_cast<std::size_t>(ia - a.begin());
+}
+
+/// read_snapshot of `file`, written under `tag`.
+checkpoint::EngineSnapshot read_file(const std::vector<std::uint8_t>& file,
+                                     const std::string& tag) {
+  const std::string path = fresh_dir(tag) + "/ckpt-00000001.fbck";
+  put_file(path, file);
+  return checkpoint::read_snapshot(path);
+}
+
+// Regression (reader fuzz): a corrupt length or count was used to size an
+// allocation before the reader checked that the body holds that much — a
+// 2^40-byte engine name or a 2^40-float global model threw std::bad_alloc
+// (or took the memory) instead of DecodeError.
+TEST(CheckpointFile, HugeLengthsAreRejectedWithoutAllocating) {
+  const SnapshotFile valid = encode_file(sample_snapshot());
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  {
+    wire::Writer w;
+    w.varint(kHuge);  // engine name length
+    w.u8('x');
+    EXPECT_THROW(read_file(reseal(valid.file, std::move(w).take()), "name"),
+                 wire::DecodeError);
+  }
+  {
+    // Everything up to the global model's count as a real snapshot has it
+    // (the first byte an empty and a one-float global differ in), then a
+    // count far past the end of the body.
+    checkpoint::EngineSnapshot snap = sample_snapshot();
+    snap.global.clear();
+    std::vector<std::uint8_t> body = encode_file(snap).body;
+    snap.global = {0.0F};
+    body.resize(first_difference(body, encode_file(snap).body));
+    wire::Writer w;
+    w.varint(kHuge);
+    const std::vector<std::uint8_t> count = std::move(w).take();
+    body.insert(body.end(), count.begin(), count.end());
+    EXPECT_THROW(read_file(reseal(valid.file, body), "global"),
+                 wire::DecodeError);
+  }
+}
+
+// Regression (reader fuzz): a flag byte other than 0 or 1 read back as
+// `true` and rewrote as 1, so an accepted file was not the encoding of the
+// snapshot read from it.
+TEST(CheckpointFile, FlagBytesOtherThanZeroOrOneAreRejected) {
+  checkpoint::EngineSnapshot snap = sample_snapshot();
+  snap.rng.has_cached_normal = false;
+  const SnapshotFile off = encode_file(snap);
+  snap.rng.has_cached_normal = true;
+  const SnapshotFile on = encode_file(snap);
+  const std::size_t flag = first_difference(off.body, on.body);
+  ASSERT_EQ(on.body[flag], 1);
+  std::vector<std::uint8_t> body = on.body;
+  body[flag] = 2;
+  EXPECT_THROW(read_file(reseal(on.file, body), "flag"), wire::DecodeError);
+}
+
+// Regression (reader fuzz): a varint with a redundant zero continuation
+// byte (0x83 0x00 for 3) decoded to the same value as its minimal form, so
+// the file did not rewrite to itself. The wire reader now rejects it.
+TEST(CheckpointFile, NonMinimalVarintsAreRejected) {
+  checkpoint::EngineSnapshot snap = sample_snapshot();
+  snap.version = 3;
+  const SnapshotFile three = encode_file(snap);
+  snap.version = 4;
+  const std::size_t at = first_difference(three.body, encode_file(snap).body);
+  ASSERT_EQ(three.body[at], 3);
+  std::vector<std::uint8_t> body = three.body;
+  body[at] = 0x83;
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(at) + 1, 0x00);
+  EXPECT_THROW(read_file(reseal(three.file, body), "varint"),
+               wire::DecodeError);
+}
+
+// Every byte of a snapshot body is hostile once the file is: bit rot that
+// happens to keep the CRC, or a file crafted with a matching CRC. Real
+// engine snapshots (in-flight jobs, pending events, a FedBIAD strategy
+// blob) are mutated with support::mutate_bytes and resealed with the
+// mutated body's CRC32C; every result must be rejected with DecodeError or
+// CheckError (and skipped by resume) or read back into a snapshot that
+// rewrites to the same bytes. Any other outcome is a defect for a named
+// regression case below.
+TEST(CheckpointFuzz, EveryResealedBodyMutationIsRejectedOrRewritesIdentically) {
+  const std::string run_dir = fresh_dir("fuzz_seed");
+  RunSpec spec;
+  spec.mode = fl::AggregationMode::kBufferedK;
+  spec.fedbiad = true;
+  spec.faults = true;
+  (void)run_with_checkpoints(spec, run_dir, /*resume=*/false);
+  std::vector<std::vector<std::uint8_t>> files;
+  for (const std::string& path : checkpoint::list_snapshots(run_dir)) {
+    files.push_back(file_bytes(path));
+  }
+  {
+    const std::string dir = fresh_dir("fuzz_sample");
+    checkpoint::write_snapshot(dir, sample_snapshot());
+    files.push_back(file_bytes(checkpoint::list_snapshots(dir).at(0)));
+  }
+  ASSERT_GE(files.size(), 4u);
+  std::vector<std::vector<std::uint8_t>> bodies;
+  for (const auto& f : files) {
+    ASSERT_GT(f.size(), kHeaderBytes + 4);
+    bodies.emplace_back(f.begin() + kHeaderBytes, f.end() - 4);
+    ASSERT_EQ(reseal(f, bodies.back()), f) << "reseal must be the identity";
+  }
+
+  const std::string dir = fresh_dir("fuzz");
+  tensor::Rng rng(0xC4EC);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (std::size_t iter = 0; iter < 1500; ++iter) {
+    const std::size_t k = rng.uniform_index(files.size());
+    std::vector<std::uint8_t> body = bodies[k];
+    const std::size_t steps = 1 + rng.uniform_index(2);
+    for (std::size_t m = 0; m < steps; ++m) {
+      support::mutate_bytes(
+          body,
+          [&]() -> const std::vector<std::uint8_t>& {
+            return bodies[rng.uniform_index(bodies.size())];
+          },
+          /*varint_at=*/rng.uniform_index(body.size() + 1),
+          /*n=*/kClients * 200, rng);
+    }
+    const std::vector<std::uint8_t> file = reseal(files[k], body);
+    const ReaderVerdict v = check_mutated_file(file, dir);
+    ASSERT_EQ(v.defect, "") << "iteration " << iter << ", seed file " << k;
+    ++(v.accepted ? accepted : rejected);
+  }
+  // Both outcomes occur, or the mutations are not reaching the body parse.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- Strategy state blobs -------------------------------------------------

@@ -2,11 +2,14 @@
 // (tensor/gemm.hpp) and every layer routed through it must match the
 // retained scalar reference implementations within 1e-4 on randomized
 // shapes — including ragged/odd sizes that stress the register-tile edges
-// and strided operands that exercise the bias-in-row layouts.
+// and strided operands that exercise the bias-in-row layouts. Every case
+// runs inline and on bound pools of 1, 4 and 7 workers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "nn/lstm.hpp"
 #include "nn/parameter_store.hpp"
 #include "nn/rnn.hpp"
+#include "support/split_pools.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/rng.hpp"
@@ -48,83 +52,133 @@ class GemmEquivalence
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(GemmEquivalence, AbtMatchesReference) {
-  const auto [m, n, k] = GetParam();
-  Rng rng(101);
-  const auto a = random_vec(rng, static_cast<std::size_t>(m * k));
-  const auto b = random_vec(rng, static_cast<std::size_t>(n * k));
-  std::vector<float> got(static_cast<std::size_t>(m * n));
-  auto want = got;
-  tensor::gemm_abt(m, n, k, a.data(), k, b.data(), k, got.data(), n);
-  tensor::ref::gemm_abt(m, n, k, a.data(), k, b.data(), k, want.data(), n);
-  expect_close(got, want, "gemm_abt");
+  for (const std::size_t workers : support::kSplitPools) {
+    const support::BoundTestPool bound(workers);
+    SCOPED_TRACE(bound.label());
+    const auto [m, n, k] = GetParam();
+    Rng rng(101);
+    const auto a = random_vec(rng, static_cast<std::size_t>(m * k));
+    const auto b = random_vec(rng, static_cast<std::size_t>(n * k));
+    std::vector<float> got(static_cast<std::size_t>(m * n));
+    auto want = got;
+    tensor::gemm_abt(m, n, k, a.data(), k, b.data(), k, got.data(), n);
+    tensor::ref::gemm_abt(m, n, k, a.data(), k, b.data(), k, want.data(), n);
+    expect_close(got, want, "gemm_abt");
+  }
 }
 
 TEST_P(GemmEquivalence, AbtStridedWithBiasAndAccumulate) {
-  const auto [m, n, k] = GetParam();
-  const std::size_t ldb = static_cast<std::size_t>(k) + 5;  // bias at [k]
-  Rng rng(103);
-  const auto a = random_vec(rng, static_cast<std::size_t>(m * k));
-  const auto b = random_vec(rng, static_cast<std::size_t>(n) * ldb);
-  auto got = random_vec(rng, static_cast<std::size_t>(m * n));
-  auto want = got;
+  for (const std::size_t workers : support::kSplitPools) {
+    const support::BoundTestPool bound(workers);
+    SCOPED_TRACE(bound.label());
+    const auto [m, n, k] = GetParam();
+    const std::size_t ldb = static_cast<std::size_t>(k) + 5;  // bias at [k]
+    Rng rng(103);
+    const auto a = random_vec(rng, static_cast<std::size_t>(m * k));
+    const auto b = random_vec(rng, static_cast<std::size_t>(n) * ldb);
+    auto got = random_vec(rng, static_cast<std::size_t>(m * n));
+    auto want = got;
 
-  tensor::gemm_abt(m, n, k, a.data(), k, b.data(), ldb, got.data(), n,
-                   /*accumulate=*/false, /*bias=*/b.data() + k, ldb);
-  tensor::ref::gemm_abt(m, n, k, a.data(), k, b.data(), ldb, want.data(), n,
-                        /*accumulate=*/false, /*bias=*/b.data() + k, ldb);
-  expect_close(got, want, "gemm_abt strided+bias");
+    tensor::gemm_abt(m, n, k, a.data(), k, b.data(), ldb, got.data(), n,
+                     /*accumulate=*/false, /*bias=*/b.data() + k, ldb);
+    tensor::ref::gemm_abt(m, n, k, a.data(), k, b.data(), ldb, want.data(), n,
+                          /*accumulate=*/false, /*bias=*/b.data() + k, ldb);
+    expect_close(got, want, "gemm_abt strided+bias");
 
-  tensor::gemm_abt(m, n, k, a.data(), k, b.data(), ldb, got.data(), n,
-                   /*accumulate=*/true);
-  tensor::ref::gemm_abt(m, n, k, a.data(), k, b.data(), ldb, want.data(), n,
-                        /*accumulate=*/true);
-  expect_close(got, want, "gemm_abt accumulate");
+    tensor::gemm_abt(m, n, k, a.data(), k, b.data(), ldb, got.data(), n,
+                     /*accumulate=*/true);
+    tensor::ref::gemm_abt(m, n, k, a.data(), k, b.data(), ldb, want.data(), n,
+                          /*accumulate=*/true);
+    expect_close(got, want, "gemm_abt accumulate");
+  }
 }
 
 TEST_P(GemmEquivalence, AbMatchesReference) {
-  const auto [m, n, k] = GetParam();
-  Rng rng(107);
-  const auto a = random_vec(rng, static_cast<std::size_t>(m * k));
-  const auto b = random_vec(rng, static_cast<std::size_t>(k * n));
-  std::vector<float> got(static_cast<std::size_t>(m * n));
-  auto want = got;
-  tensor::gemm_ab(m, n, k, a.data(), k, b.data(), n, got.data(), n);
-  tensor::ref::gemm_ab(m, n, k, a.data(), k, b.data(), n, want.data(), n);
-  expect_close(got, want, "gemm_ab");
+  for (const std::size_t workers : support::kSplitPools) {
+    const support::BoundTestPool bound(workers);
+    SCOPED_TRACE(bound.label());
+    const auto [m, n, k] = GetParam();
+    Rng rng(107);
+    const auto a = random_vec(rng, static_cast<std::size_t>(m * k));
+    const auto b = random_vec(rng, static_cast<std::size_t>(k * n));
+    std::vector<float> got(static_cast<std::size_t>(m * n));
+    auto want = got;
+    tensor::gemm_ab(m, n, k, a.data(), k, b.data(), n, got.data(), n);
+    tensor::ref::gemm_ab(m, n, k, a.data(), k, b.data(), n, want.data(), n);
+    expect_close(got, want, "gemm_ab");
+  }
 }
 
 TEST_P(GemmEquivalence, AtbMatchesReference) {
-  const auto [m, n, k] = GetParam();
-  Rng rng(109);
-  const auto a = random_vec(rng, static_cast<std::size_t>(k * m));
-  const auto b = random_vec(rng, static_cast<std::size_t>(k * n));
-  auto got = random_vec(rng, static_cast<std::size_t>(m * n));
-  auto want = got;  // atb accumulates — start from identical garbage
-  tensor::gemm_atb(m, n, k, a.data(), m, b.data(), n, got.data(), n);
-  tensor::ref::gemm_atb(m, n, k, a.data(), m, b.data(), n, want.data(), n);
-  expect_close(got, want, "gemm_atb");
+  for (const std::size_t workers : support::kSplitPools) {
+    const support::BoundTestPool bound(workers);
+    SCOPED_TRACE(bound.label());
+    const auto [m, n, k] = GetParam();
+    Rng rng(109);
+    const auto a = random_vec(rng, static_cast<std::size_t>(k * m));
+    const auto b = random_vec(rng, static_cast<std::size_t>(k * n));
+    auto got = random_vec(rng, static_cast<std::size_t>(m * n));
+    auto want = got;  // atb accumulates — start from identical garbage
+    tensor::gemm_atb(m, n, k, a.data(), m, b.data(), n, got.data(), n);
+    tensor::ref::gemm_atb(m, n, k, a.data(), m, b.data(), n, want.data(), n);
+    expect_close(got, want, "gemm_atb");
+  }
 }
 
 TEST_P(GemmEquivalence, PackedVariantsMatchUnpacked) {
+  for (const std::size_t workers : support::kSplitPools) {
+    const support::BoundTestPool bound(workers);
+    SCOPED_TRACE(bound.label());
+    const auto [m, n, k] = GetParam();
+    const std::size_t ldb = static_cast<std::size_t>(k) + 2;
+    Rng rng(113);
+    const auto a = random_vec(rng, static_cast<std::size_t>(m * k));
+    const auto bt = random_vec(rng, static_cast<std::size_t>(n) * ldb);
+    const auto b = random_vec(rng, static_cast<std::size_t>(k * n));
+    std::vector<float> got(static_cast<std::size_t>(m * n));
+    auto want = got;
+    std::vector<float> packed(tensor::gemm_packed_size(n, k));
+
+    tensor::gemm_pack_bt(n, k, bt.data(), ldb, packed.data());
+    tensor::gemm_abt_packed(m, n, k, a.data(), k, packed.data(), got.data(), n);
+    tensor::gemm_abt(m, n, k, a.data(), k, bt.data(), ldb, want.data(), n);
+    expect_close(got, want, "gemm_abt_packed");
+
+    tensor::gemm_pack_b(n, k, b.data(), n, packed.data());
+    tensor::gemm_ab_packed(m, n, k, a.data(), k, packed.data(), got.data(), n);
+    tensor::gemm_ab(m, n, k, a.data(), k, b.data(), n, want.data(), n);
+    expect_close(got, want, "gemm_ab_packed");
+  }
+}
+
+// Row tiles are computed whole by one thread, so every split of the tile
+// range yields the same bits as the inline run.
+TEST_P(GemmEquivalence, EverySplitIsBitIdentical) {
   const auto [m, n, k] = GetParam();
-  const std::size_t ldb = static_cast<std::size_t>(k) + 2;
-  Rng rng(113);
+  Rng rng(127);
   const auto a = random_vec(rng, static_cast<std::size_t>(m * k));
-  const auto bt = random_vec(rng, static_cast<std::size_t>(n) * ldb);
-  const auto b = random_vec(rng, static_cast<std::size_t>(k * n));
-  std::vector<float> got(static_cast<std::size_t>(m * n));
-  auto want = got;
-  std::vector<float> packed(tensor::gemm_packed_size(n, k));
-
-  tensor::gemm_pack_bt(n, k, bt.data(), ldb, packed.data());
-  tensor::gemm_abt_packed(m, n, k, a.data(), k, packed.data(), got.data(), n);
-  tensor::gemm_abt(m, n, k, a.data(), k, bt.data(), ldb, want.data(), n);
-  expect_close(got, want, "gemm_abt_packed");
-
-  tensor::gemm_pack_b(n, k, b.data(), n, packed.data());
-  tensor::gemm_ab_packed(m, n, k, a.data(), k, packed.data(), got.data(), n);
-  tensor::gemm_ab(m, n, k, a.data(), k, b.data(), n, want.data(), n);
-  expect_close(got, want, "gemm_ab_packed");
+  const auto b = random_vec(rng, static_cast<std::size_t>(n * k));
+  const auto c0 = random_vec(rng, static_cast<std::size_t>(m * n));
+  auto run = [&] {
+    std::vector<float> out(static_cast<std::size_t>(m * n));
+    tensor::gemm_abt(m, n, k, a.data(), k, b.data(), k, out.data(), n);
+    std::vector<float> ab(c0);
+    tensor::gemm_ab(m, n, k, a.data(), k, b.data(), n, ab.data(), n,
+                    /*accumulate=*/true);
+    out.insert(out.end(), ab.begin(), ab.end());
+    return out;
+  };
+  const std::vector<float> inline_bits = run();
+  for (const std::size_t workers : support::kSplitPools) {
+    const support::BoundTestPool bound(workers);
+    const std::vector<float> got = run();
+    ASSERT_EQ(got.size(), inline_bits.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(inline_bits[i]))
+          << bound.label() << " at flat index " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -182,32 +236,36 @@ class DenseEquivalence
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(DenseEquivalence, ForwardBackwardMatchReference) {
-  const auto [batch, in, out_dim] = GetParam();
-  nn::ParameterStore store;
-  nn::Dense dense(store, "d", in, out_dim);
-  store.finalize();
-  Rng rng(211);
-  dense.init(store, rng);
+  for (const std::size_t workers : support::kSplitPools) {
+    const support::BoundTestPool bound(workers);
+    SCOPED_TRACE(bound.label());
+    const auto [batch, in, out_dim] = GetParam();
+    nn::ParameterStore store;
+    nn::Dense dense(store, "d", in, out_dim);
+    store.finalize();
+    Rng rng(211);
+    dense.init(store, rng);
 
-  Matrix x(batch, in), g_out(batch, out_dim);
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  g_out.fill_uniform(rng, -1.0F, 1.0F);
+    Matrix x(batch, in), g_out(batch, out_dim);
+    x.fill_uniform(rng, -1.0F, 1.0F);
+    g_out.fill_uniform(rng, -1.0F, 1.0F);
 
-  Matrix out, out_ref;
-  dense.forward(store, x, out);
-  dense_forward_ref(store.group_params(dense.group()), x, in, out_dim,
-                    out_ref);
-  expect_close(out.flat(), out_ref.flat(), "dense forward");
+    Matrix out, out_ref;
+    dense.forward(store, x, out);
+    dense_forward_ref(store.group_params(dense.group()), x, in, out_dim,
+                      out_ref);
+    expect_close(out.flat(), out_ref.flat(), "dense forward");
 
-  store.zero_grads();
-  Matrix g_in;
-  dense.backward(store, x, g_out, &g_in);
-  std::vector<float> dw_ref;
-  Matrix g_in_ref;
-  dense_backward_ref(store.group_params(dense.group()), x, g_out, in,
-                     out_dim, dw_ref, g_in_ref);
-  expect_close(store.group_grads(dense.group()), dw_ref, "dense dW");
-  expect_close(g_in.flat(), g_in_ref.flat(), "dense g_in");
+    store.zero_grads();
+    Matrix g_in;
+    dense.backward(store, x, g_out, &g_in);
+    std::vector<float> dw_ref;
+    Matrix g_in_ref;
+    dense_backward_ref(store.group_params(dense.group()), x, g_out, in,
+                       out_dim, dw_ref, g_in_ref);
+    expect_close(store.group_grads(dense.group()), dw_ref, "dense dW");
+    expect_close(g_in.flat(), g_in_ref.flat(), "dense g_in");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, DenseEquivalence,
@@ -333,37 +391,41 @@ class LstmEquivalence
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
 TEST_P(LstmEquivalence, ForwardBackwardMatchReference) {
-  const auto [batch, seq, in, H] = GetParam();
-  nn::ParameterStore store;
-  nn::LstmLayer lstm(store, "l", in, H);
-  store.finalize();
-  Rng rng(307);
-  lstm.init(store, rng);
+  for (const std::size_t workers : support::kSplitPools) {
+    const support::BoundTestPool bound(workers);
+    SCOPED_TRACE(bound.label());
+    const auto [batch, seq, in, H] = GetParam();
+    nn::ParameterStore store;
+    nn::LstmLayer lstm(store, "l", in, H);
+    store.finalize();
+    Rng rng(307);
+    lstm.init(store, rng);
 
-  Matrix x(batch * seq, in), g_h(batch * seq, H);
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  g_h.fill_uniform(rng, -1.0F, 1.0F);
+    Matrix x(batch * seq, in), g_h(batch * seq, H);
+    x.fill_uniform(rng, -1.0F, 1.0F);
+    g_h.fill_uniform(rng, -1.0F, 1.0F);
 
-  nn::LstmLayer::Cache cache;
-  lstm.forward(store, x, batch, seq, cache);
+    nn::LstmLayer::Cache cache;
+    lstm.forward(store, x, batch, seq, cache);
 
-  LstmRef ref{static_cast<std::size_t>(in), static_cast<std::size_t>(H),
-              lstm.row_len(), store.group_params(lstm.group())};
-  Matrix gates_ref, c_ref, tanh_c_ref, h_ref;
-  ref.forward(x, batch, seq, gates_ref, c_ref, tanh_c_ref, h_ref);
-  expect_close(cache.h.flat(), h_ref.flat(), "lstm h");
-  expect_close(cache.c.flat(), c_ref.flat(), "lstm c");
-  expect_close(cache.gates.flat(), gates_ref.flat(), "lstm gates");
+    LstmRef ref{static_cast<std::size_t>(in), static_cast<std::size_t>(H),
+                lstm.row_len(), store.group_params(lstm.group())};
+    Matrix gates_ref, c_ref, tanh_c_ref, h_ref;
+    ref.forward(x, batch, seq, gates_ref, c_ref, tanh_c_ref, h_ref);
+    expect_close(cache.h.flat(), h_ref.flat(), "lstm h");
+    expect_close(cache.c.flat(), c_ref.flat(), "lstm c");
+    expect_close(cache.gates.flat(), gates_ref.flat(), "lstm gates");
 
-  store.zero_grads();
-  Matrix g_x;
-  lstm.backward(store, x, cache, g_h, g_x);
-  std::vector<float> dw_ref;
-  Matrix g_x_ref;
-  ref.backward(x, gates_ref, c_ref, tanh_c_ref, h_ref, g_h, batch, seq,
-               dw_ref, g_x_ref);
-  expect_close(store.group_grads(lstm.group()), dw_ref, "lstm dW");
-  expect_close(g_x.flat(), g_x_ref.flat(), "lstm g_x");
+    store.zero_grads();
+    Matrix g_x;
+    lstm.backward(store, x, cache, g_h, g_x);
+    std::vector<float> dw_ref;
+    Matrix g_x_ref;
+    ref.backward(x, gates_ref, c_ref, tanh_c_ref, h_ref, g_h, batch, seq,
+                 dw_ref, g_x_ref);
+    expect_close(store.group_grads(lstm.group()), dw_ref, "lstm dW");
+    expect_close(g_x.flat(), g_x_ref.flat(), "lstm g_x");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, LstmEquivalence,
@@ -445,33 +507,37 @@ class RnnEquivalence
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
 TEST_P(RnnEquivalence, ForwardBackwardMatchReference) {
-  const auto [batch, seq, in, H] = GetParam();
-  nn::ParameterStore store;
-  nn::RnnLayer rnn(store, "r", in, H);
-  store.finalize();
-  Rng rng(401);
-  rnn.init(store, rng);
+  for (const std::size_t workers : support::kSplitPools) {
+    const support::BoundTestPool bound(workers);
+    SCOPED_TRACE(bound.label());
+    const auto [batch, seq, in, H] = GetParam();
+    nn::ParameterStore store;
+    nn::RnnLayer rnn(store, "r", in, H);
+    store.finalize();
+    Rng rng(401);
+    rnn.init(store, rng);
 
-  Matrix x(batch * seq, in), g_h(batch * seq, H);
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  g_h.fill_uniform(rng, -1.0F, 1.0F);
+    Matrix x(batch * seq, in), g_h(batch * seq, H);
+    x.fill_uniform(rng, -1.0F, 1.0F);
+    g_h.fill_uniform(rng, -1.0F, 1.0F);
 
-  nn::RnnLayer::Cache cache;
-  rnn.forward(store, x, batch, seq, cache);
-  RnnRef ref{static_cast<std::size_t>(in), static_cast<std::size_t>(H),
-             rnn.row_len(), store.group_params(rnn.group())};
-  Matrix h_ref;
-  ref.forward(x, batch, seq, h_ref);
-  expect_close(cache.h.flat(), h_ref.flat(), "rnn h");
+    nn::RnnLayer::Cache cache;
+    rnn.forward(store, x, batch, seq, cache);
+    RnnRef ref{static_cast<std::size_t>(in), static_cast<std::size_t>(H),
+               rnn.row_len(), store.group_params(rnn.group())};
+    Matrix h_ref;
+    ref.forward(x, batch, seq, h_ref);
+    expect_close(cache.h.flat(), h_ref.flat(), "rnn h");
 
-  store.zero_grads();
-  Matrix g_x;
-  rnn.backward(store, x, cache, g_h, g_x);
-  std::vector<float> dw_ref;
-  Matrix g_x_ref;
-  ref.backward(x, h_ref, g_h, batch, seq, dw_ref, g_x_ref);
-  expect_close(store.group_grads(rnn.group()), dw_ref, "rnn dW");
-  expect_close(g_x.flat(), g_x_ref.flat(), "rnn g_x");
+    store.zero_grads();
+    Matrix g_x;
+    rnn.backward(store, x, cache, g_h, g_x);
+    std::vector<float> dw_ref;
+    Matrix g_x_ref;
+    ref.backward(x, h_ref, g_h, batch, seq, dw_ref, g_x_ref);
+    expect_close(store.group_grads(rnn.group()), dw_ref, "rnn dW");
+    expect_close(g_x.flat(), g_x_ref.flat(), "rnn g_x");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, RnnEquivalence,
@@ -489,44 +555,48 @@ struct ConvCase {
 class ConvEquivalence : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvEquivalence, ForwardBackwardMatchNaiveReference) {
-  const ConvCase p = GetParam();
-  nn::ParameterStore store;
-  nn::Conv2D conv(store, "c", p.in_c, p.out_c, p.kernel, p.h, p.w, p.stride,
-                  p.pad);
-  store.finalize();
-  Rng rng(509);
-  conv.init(store, rng);
+  for (const std::size_t workers : support::kSplitPools) {
+    const support::BoundTestPool bound(workers);
+    SCOPED_TRACE(bound.label());
+    const ConvCase p = GetParam();
+    nn::ParameterStore store;
+    nn::Conv2D conv(store, "c", p.in_c, p.out_c, p.kernel, p.h, p.w, p.stride,
+                    p.pad);
+    store.finalize();
+    Rng rng(509);
+    conv.init(store, rng);
 
-  Matrix x(p.batch, static_cast<std::size_t>(p.in_c * p.h * p.w));
-  x.fill_uniform(rng, -1.0F, 1.0F);
+    Matrix x(p.batch, static_cast<std::size_t>(p.in_c * p.h * p.w));
+    x.fill_uniform(rng, -1.0F, 1.0F);
 
-  Matrix out, out_ref;
-  conv.forward(store, x, out);
-  const auto w = store.group_params(conv.group());
-  nn::ref::conv2d_forward(p.in_c, p.out_c, p.kernel, p.h, p.w, p.stride,
-                          p.pad, w.data(), x, out_ref);
-  ASSERT_EQ(out.rows(), out_ref.rows());
-  ASSERT_EQ(out.cols(), out_ref.cols());
-  ASSERT_EQ(out.cols(), conv.out_size());
-  expect_close(out.flat(), out_ref.flat(), "conv forward");
+    Matrix out, out_ref;
+    conv.forward(store, x, out);
+    const auto w = store.group_params(conv.group());
+    nn::ref::conv2d_forward(p.in_c, p.out_c, p.kernel, p.h, p.w, p.stride,
+                            p.pad, w.data(), x, out_ref);
+    ASSERT_EQ(out.rows(), out_ref.rows());
+    ASSERT_EQ(out.cols(), out_ref.cols());
+    ASSERT_EQ(out.cols(), conv.out_size());
+    expect_close(out.flat(), out_ref.flat(), "conv forward");
 
-  Matrix g_out(out.rows(), out.cols());
-  g_out.fill_uniform(rng, -1.0F, 1.0F);
-  store.zero_grads();
-  Matrix g_in;
-  conv.backward(store, x, g_out, &g_in);
-  std::vector<float> dw_ref(w.size(), 0.0F);
-  Matrix g_in_ref;
-  nn::ref::conv2d_backward(p.in_c, p.out_c, p.kernel, p.h, p.w, p.stride,
-                           p.pad, w.data(), dw_ref.data(), x, g_out,
-                           &g_in_ref);
-  expect_close(store.group_grads(conv.group()), dw_ref, "conv dW");
-  expect_close(g_in.flat(), g_in_ref.flat(), "conv g_in");
+    Matrix g_out(out.rows(), out.cols());
+    g_out.fill_uniform(rng, -1.0F, 1.0F);
+    store.zero_grads();
+    Matrix g_in;
+    conv.backward(store, x, g_out, &g_in);
+    std::vector<float> dw_ref(w.size(), 0.0F);
+    Matrix g_in_ref;
+    nn::ref::conv2d_backward(p.in_c, p.out_c, p.kernel, p.h, p.w, p.stride,
+                             p.pad, w.data(), dw_ref.data(), x, g_out,
+                             &g_in_ref);
+    expect_close(store.group_grads(conv.group()), dw_ref, "conv dW");
+    expect_close(g_in.flat(), g_in_ref.flat(), "conv g_in");
 
-  // The g_in == nullptr path must produce identical weight gradients.
-  store.zero_grads();
-  conv.backward(store, x, g_out, nullptr);
-  expect_close(store.group_grads(conv.group()), dw_ref, "conv dW (no g_in)");
+    // The g_in == nullptr path must produce identical weight gradients.
+    store.zero_grads();
+    conv.backward(store, x, g_out, nullptr);
+    expect_close(store.group_grads(conv.group()), dw_ref, "conv dW (no g_in)");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <exception>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -31,6 +34,7 @@
 #include "scenario/json.hpp"
 #include "scenario/model.hpp"
 #include "support/dense_oracle.hpp"
+#include "support/mutate_bytes.hpp"
 #include "tensor/rng.hpp"
 #include "wire/accounting.hpp"
 
@@ -232,6 +236,30 @@ TEST(ScenarioJson, ParsesStringEscapes) {
   EXPECT_EQ(arr[2].as_string(), "A");
 }
 
+// Regression: parse() recursed once per nesting level with no bound, so a
+// document of 2,000,000 '[' overflowed the stack (SIGSEGV) instead of
+// throwing. Nesting now stops at json::kMaxDepth.
+TEST(ScenarioJson, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  using scenario::json::kMaxDepth;
+  EXPECT_THROW(scenario::json::Value::parse(std::string(2'000'000, '[')),
+               CheckError);
+  std::string objects;
+  for (int i = 0; i < 500'000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(scenario::json::Value::parse(objects), CheckError);
+
+  auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(scenario::json::Value::parse(arrays(kMaxDepth)));
+  try {
+    (void)scenario::json::Value::parse(arrays(kMaxDepth + 1));
+    ADD_FAILURE() << "nesting one past the cap parsed";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+  }
+}
+
 // --- Config parsing and validation ----------------------------------------
 
 scenario::Config full_config() {
@@ -369,6 +397,29 @@ TEST(ScenarioConfig, LoadRejectsMissingFile) {
                CheckError);
 }
 
+// Regression: seed and max_attempts were cast from double to uint64 after
+// only a sign and integrality check, so 1e300, 1e999 (parsed as +inf) and
+// 2^64 reached an undefined conversion instead of being rejected.
+TEST(ScenarioConfig, RejectsIntegersBeyondUint64) {
+  for (const char* big : {"1e300", "1e999", "18446744073709551616"}) {
+    EXPECT_THROW(scenario::Config::from_json(
+                     std::string(R"({"name": "x", "seed": )") + big + "}"),
+                 CheckError)
+        << big;
+    EXPECT_THROW(
+        scenario::Config::from_json(
+            std::string(R"({"name": "x", "faults": {"retry": )"
+                        R"({"max_attempts": )") +
+            big + "}}}"),
+        CheckError)
+        << big;
+  }
+  // The largest double below 2^64 is still a valid seed.
+  const auto cfg = scenario::Config::from_json(
+      R"({"name": "x", "seed": 18446744073709549568})");
+  EXPECT_EQ(cfg.seed, 18446744073709549568ULL);
+}
+
 // Every checked-in corpus file parses, matches its filename, and survives a
 // canonical-emission round trip.
 TEST(ScenarioConfig, CorpusFilesParseAndRoundTrip) {
@@ -383,6 +434,93 @@ TEST(ScenarioConfig, CorpusFilesParseAndRoundTrip) {
     EXPECT_EQ(scenario::Config::from_json(cfg.to_json()), cfg) << name;
     EXPECT_EQ(cfg.active(), name != "ideal") << name;
   }
+}
+
+// --- reader fuzz --------------------------------------------------------------
+
+/// A JSON-shaped hazard spliced in at a random offset: a huge, tiny or
+/// long number, a bad escape, malformed UTF-8 (raw or escaped), a
+/// duplicate key, or nesting around and far past json::kMaxDepth.
+void plant_json_hazard(std::vector<std::uint8_t>& b, tensor::Rng& rng) {
+  static const char* const kHazards[] = {
+      "1e999",   "-1e999",  "1e-999",  "123456789012345678901234567890",
+      "-0",      "0e0",     "1E+400",  "18446744073709551616",
+      R"("\x")", R"("\u12")", R"("\uZZZZ")", R"("\uD800")", R"("\)",
+      "\"\xC0\xAF\"", "\"\xFF\xFE\"", "\"\xE2\x82\"", "\xEF\xBB\xBF",
+      R"("name": "dup", )", R"("seed": 1, "seed": 2, )",
+      R"("churn": {"failure_rate": 0.1}, )",
+  };
+  std::string piece;
+  const std::size_t pick = rng.uniform_index(std::size(kHazards) + 1);
+  if (pick < std::size(kHazards)) {
+    piece = kHazards[pick];
+  } else {
+    const std::size_t depth =
+        rng.bernoulli(0.5) ? scenario::json::kMaxDepth - 1 + rng.uniform_index(3)
+                           : 20'000 + rng.uniform_index(20'000);
+    piece = std::string(depth, '[') + "1" +
+            std::string(rng.bernoulli(0.5) ? depth : depth / 2, ']');
+  }
+  if (rng.bernoulli(0.2)) b.clear();  // the hazard as the whole document
+  const std::size_t at = rng.uniform_index(b.size() + 1);
+  b.insert(b.begin() + static_cast<std::ptrdiff_t>(at), piece.begin(),
+           piece.end());
+}
+
+// Seeded mutations of the checked-in scenarios: byte-level (support::
+// mutate_bytes) and JSON-shaped (plant_json_hazard). Every mutated document
+// must be rejected with CheckError, by the reader or by Config::from_json,
+// or load into a Config that survives the canonical round trip. Any other
+// exception — or a crash — is a defect for a named regression case above.
+TEST(ScenarioJsonFuzz, EveryMutationIsRejectedOrRoundTrips) {
+  const std::string dir = FEDBIAD_SCENARIO_DIR;
+  std::vector<std::vector<std::uint8_t>> corpus;
+  for (const char* name : {"ideal", "churn_moderate", "churn_heavy",
+                           "deadline_tight", "deadline_bench", "diurnal",
+                           "flash_crowd", "faulty"}) {
+    std::ifstream is(dir + "/" + name + ".json", std::ios::binary);
+    ASSERT_TRUE(static_cast<bool>(is)) << name;
+    corpus.emplace_back(std::istreambuf_iterator<char>(is),
+                        std::istreambuf_iterator<char>());
+  }
+  const std::string full = full_config().to_json();
+  corpus.emplace_back(full.begin(), full.end());
+
+  tensor::Rng rng(0x15017);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t iter = 0; iter < 4000; ++iter) {
+    std::vector<std::uint8_t> bytes =
+        corpus[rng.uniform_index(corpus.size())];
+    const std::size_t steps = 1 + rng.uniform_index(3);
+    for (std::size_t k = 0; k < steps; ++k) {
+      if (rng.bernoulli(0.5)) {
+        plant_json_hazard(bytes, rng);
+      } else {
+        support::mutate_bytes(
+            bytes,
+            [&]() -> const std::vector<std::uint8_t>& {
+              return corpus[rng.uniform_index(corpus.size())];
+            },
+            /*varint_at=*/0, /*n=*/64, rng);
+      }
+    }
+    const std::string text(bytes.begin(), bytes.end());
+    try {
+      const scenario::Config cfg = scenario::Config::from_json(text);
+      ASSERT_EQ(scenario::Config::from_json(cfg.to_json()), cfg)
+          << "iteration " << iter << ":\n" << text;
+      ++loaded;
+    } catch (const CheckError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "iteration " << iter << " threw " << e.what() << ":\n"
+             << text;
+    }
+  }
+  // Both outcomes occur, or the mutations are not reaching the checks.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- AvailabilityModel ----------------------------------------------------

@@ -980,42 +980,49 @@ TEST(DecodeWorkers, DeadlineAbandonsMatchInlineUnderWorkers) {
 
 // --- epoll TCP backend ----------------------------------------------------
 
+// Clients on their own threads, and the server's worker pool at 1, 4 and 7
+// threads: those workers decode uploads and, with the transport thread,
+// split every commit's aggregate and evaluation kernels.
 TEST(Tcp, EndToEndMatchesEngineAcrossThreads) {
   const auto w = tools::make_demo_workload("fedavg", true);
   const std::string want =
       tools::trajectory_text(tools::reference_run(w, "fedavg"));
 
-  transport::TransportServerConfig scfg;
-  scfg.base = w.sim;
-  scfg.scenario_name = "tcp";
-  transport::EpollServerTransport net({}, 0);
-  const std::uint16_t port = net.port();
-  transport::ServerRuntime server(scfg, net, w.factory, w.test, w.partition,
-                                  tools::make_demo_strategy("fedavg"));
+  for (const std::size_t workers : {1u, 4u, 7u}) {
+    SCOPED_TRACE("decode_workers " + std::to_string(workers));
+    transport::TransportServerConfig scfg;
+    scfg.base = w.sim;
+    scfg.scenario_name = "tcp";
+    scfg.decode_workers = workers;
+    transport::EpollServerTransport net({}, 0);
+    const std::uint16_t port = net.port();
+    transport::ServerRuntime server(scfg, net, w.factory, w.test, w.partition,
+                                    tools::make_demo_strategy("fedavg"));
 
-  std::vector<std::thread> threads;
-  std::vector<int> status(w.partition.size(), -1);
-  for (std::size_t c = 0; c < w.partition.size(); ++c) {
-    if (w.partition[c].empty()) continue;
-    threads.emplace_back([&, c] {
-      transport::TransportClientConfig ccfg;
-      ccfg.client_id = c;
-      ccfg.base = w.sim;
-      ccfg.payload_kind = w.payload_kind;
-      ccfg.reconnect_timeout_seconds = 30.0;
-      transport::TcpClientTransport tcp("127.0.0.1", port);
-      transport::ClientRuntime runtime(ccfg, tcp, w.factory, w.train,
-                                       w.partition[c],
-                                       tools::make_demo_strategy("fedavg"));
-      status[c] = runtime.run() ? 0 : 1;
-    });
-  }
-  const auto result = server.run();
-  for (auto& t : threads) t.join();
-  expect_conserved(result);
-  EXPECT_EQ(tools::trajectory_text(result.sim), want);
-  for (std::size_t c = 0; c < w.partition.size(); ++c) {
-    if (!w.partition[c].empty()) EXPECT_EQ(status[c], 0) << "client " << c;
+    std::vector<std::thread> threads;
+    std::vector<int> status(w.partition.size(), -1);
+    for (std::size_t c = 0; c < w.partition.size(); ++c) {
+      if (w.partition[c].empty()) continue;
+      threads.emplace_back([&, c] {
+        transport::TransportClientConfig ccfg;
+        ccfg.client_id = c;
+        ccfg.base = w.sim;
+        ccfg.payload_kind = w.payload_kind;
+        ccfg.reconnect_timeout_seconds = 30.0;
+        transport::TcpClientTransport tcp("127.0.0.1", port);
+        transport::ClientRuntime runtime(ccfg, tcp, w.factory, w.train,
+                                         w.partition[c],
+                                         tools::make_demo_strategy("fedavg"));
+        status[c] = runtime.run() ? 0 : 1;
+      });
+    }
+    const auto result = server.run();
+    for (auto& t : threads) t.join();
+    expect_conserved(result);
+    EXPECT_EQ(tools::trajectory_text(result.sim), want);
+    for (std::size_t c = 0; c < w.partition.size(); ++c) {
+      if (!w.partition[c].empty()) EXPECT_EQ(status[c], 0) << "client " << c;
+    }
   }
 }
 
